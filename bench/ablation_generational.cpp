@@ -30,7 +30,7 @@ GenOutcome runGenerational(const Trace &T, uint64_t Capacity,
   Config.CapacityBytes = Capacity;
   Config.TenuredFraction = TenuredFraction;
   Config.PromoteAfterInserts = 3;
-  GenerationalCacheManager M(Config);
+  GenerationalCache M(Config);
   for (SuperblockId Id : T.Accesses)
     M.access(T.recordFor(Id));
   return {M.stats(), M.promotions()};

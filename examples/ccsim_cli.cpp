@@ -1001,9 +1001,9 @@ int runAudit(FlagSet &Flags) {
       std::fprintf(stderr, "error: bad policy '%s'\n", Spec.c_str());
       return ExitUsage;
     }
-    CacheManagerConfig MC;
+    CacheEngineConfig MC;
     MC.CapacityBytes = sim::capacityFor(T, *Capacity);
-    CacheManager Manager(MC, makePolicy(*Policy));
+    CacheEngine Manager(MC, makePolicy(*Policy));
 
     size_t Violations = 0;
     check::ParanoiaOptions Opts;

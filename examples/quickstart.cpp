@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
@@ -19,14 +19,14 @@ using namespace ccsim;
 
 int main() {
   // 1. Configure a 4 KB code cache with the paper's cost model.
-  CacheManagerConfig Config;
+  CacheEngineConfig Config;
   Config.CapacityBytes = 4096;
   Config.Costs = CostModel::paperDefaults();
 
   // 2. Pick an eviction policy: the cache is split into 8 equal units and
   //    the oldest unit is flushed whole when space runs out. Try
   //    GranularitySpec::flush() or ::fine() to see the extremes.
-  CacheManager Manager(Config, makePolicy(GranularitySpec::units(8)));
+  CacheEngine Engine(Config, makePolicy(GranularitySpec::units(8)));
 
   // 3. Describe a few superblocks: id, translated size, and static
   //    control-flow edges (candidate chain links).
@@ -60,12 +60,12 @@ int main() {
     Rec.Id = Id;
     Rec.SizeBytes = Blocks[Id].Size;
     Rec.OutEdges = std::span<const SuperblockId>(Blocks[Id].Edges);
-    Manager.access(Rec);
+    Engine.access(Rec);
   }
 
   // 5. Read the results.
-  const CacheStats &S = Manager.stats();
-  std::printf("policy:               %s\n", Manager.policy().name().c_str());
+  const CacheStats &S = Engine.stats();
+  std::printf("policy:               %s\n", Engine.policy().name().c_str());
   std::printf("accesses:             %s\n",
               formatWithCommas(S.Accesses).c_str());
   std::printf("miss rate:            %s (%llu cold + %llu capacity)\n",
@@ -84,7 +84,7 @@ int main() {
               S.totalOverhead(true), S.MissOverhead, S.EvictionOverhead,
               S.UnlinkOverhead);
   std::printf("cache occupancy:      %s of %s\n",
-              formatBytes(Manager.cache().occupiedBytes()).c_str(),
-              formatBytes(Manager.cache().capacity()).c_str());
+              formatBytes(Engine.cache().occupiedBytes()).c_str(),
+              formatBytes(Engine.cache().capacity()).c_str());
   return 0;
 }

@@ -142,7 +142,7 @@ const char *check::ruleFixHint(AuditRule Rule) {
     return "FreeListCache insert/evictLru/touch must keep LruList in sync "
            "with slot residency";
   case AuditRule::GenerationalDualResidency:
-    return "GenerationalCacheManager::access must check both generations "
+    return "GenerationalCache::access must check both generations "
            "before inserting";
   case AuditRule::StatsAccessSplitMismatch:
   case AuditRule::StatsResidencyMismatch:
@@ -150,7 +150,7 @@ const char *check::ruleFixHint(AuditRule Rule) {
   case AuditRule::StatsLinkAccountingMismatch:
   case AuditRule::StatsEvictionAccountingMismatch:
   case AuditRule::StatsBackPointerPeakLow:
-    return "CacheManager::access/chargeEvictions must bump each CacheStats "
+    return "CacheEngine::access/chargeEvictions must bump each CacheStats "
            "counter exactly once per event";
   case AuditRule::DispatchEntryNotResident:
   case AuditRule::DispatchEntryStale:

@@ -68,7 +68,7 @@ enum class AuditRule : uint8_t {
   FreeListOccupancyMismatch,  ///< Byte accounting vs. extents disagrees.
   FreeListLruMismatch,        ///< LRU list does not match residency.
 
-  // GenerationalCacheManager.
+  // GenerationalCache.
   GenerationalDualResidency,  ///< Block resident in nursery AND tenured.
 
   // CacheStats reconciliation against the observed structures.

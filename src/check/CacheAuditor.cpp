@@ -81,7 +81,7 @@ FreeListState check::captureFreeList(const FreeListCache &Cache) {
   return State;
 }
 
-StatsState check::captureStats(const CacheManager &Manager) {
+StatsState check::captureStats(const CacheEngine &Manager) {
   StatsState State;
   State.Stats = Manager.stats();
   State.ResidentCount = Manager.cache().residentCount();
@@ -723,14 +723,14 @@ AuditReport CacheAuditor::auditFreeList(const FreeListCache &Cache) const {
 }
 
 AuditReport
-CacheAuditor::auditGenerational(const GenerationalCacheManager &Gen) const {
+CacheAuditor::auditGenerational(const GenerationalCache &Gen) const {
   AuditReport Report;
   checkGenerational(captureCodeCache(Gen.nursery()),
                     captureCodeCache(Gen.tenured()), Report);
   return Report;
 }
 
-AuditReport CacheAuditor::auditManager(const CacheManager &Manager) const {
+AuditReport CacheAuditor::auditManager(const CacheEngine &Manager) const {
   AuditReport Report;
   const CodeCacheState Cache = captureCodeCache(Manager.cache());
   checkCodeCache(Cache, Report);

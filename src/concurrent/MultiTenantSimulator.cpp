@@ -67,7 +67,7 @@ MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
   }
 
   // Tenants keep their trace-local dense ids but are shifted into disjoint
-  // global ranges, so one shared CacheManager can tell them apart. Edge
+  // global ranges, so one shared CacheEngine can tell them apart. Edge
   // lists are remapped once up front; the per-access records then alias
   // these vectors.
   IdBase.resize(K, 0);
@@ -193,43 +193,6 @@ MultiTenantResult MultiTenantSimulator::run() {
     TR.SharingActive = Policy.ShareCode;
   }
 
-  // Eviction attribution: the observer charges invocation costs to the
-  // evictor and victim costs to each victim's owner.
-  auto Observer = [&Result, K, this](const EvictionBatchEvent &Event) {
-    TenantResult &Evictor = Result.Tenants[Event.Evictor];
-    ++Evictor.EvictionInvocationsTriggered;
-    uint64_t BatchBytes = 0;
-    for (size_t I = 0; I < Event.Victims.size(); ++I) {
-      const CodeCache::Resident &V = Event.Victims[I];
-      const TenantId Owner = Event.VictimTenants[I];
-      TenantResult &Victim = Result.Tenants[Owner];
-      BatchBytes += V.Size;
-      ++Victim.BlocksEvicted;
-      Victim.BytesEvicted += V.Size;
-      if (Owner != Event.Evictor)
-        ++Victim.BlocksLostToOthers;
-      ++Result.CrossEvictedBlocks[size_t(Event.Evictor) * K + Owner];
-      if (I < Event.DanglingLinks.size() && Event.DanglingLinks[I] > 0) {
-        ++Victim.UnlinkOperations;
-        Victim.UnlinkedLinks += Event.DanglingLinks[I];
-        Victim.UnlinkOverhead +=
-            Policy.Costs.unlinkingOverhead(Event.DanglingLinks[I]);
-      }
-    }
-    Evictor.EvictionOverhead += Policy.Costs.evictionOverhead(BatchBytes);
-  };
-
-  // Unshare attribution: every drained link is one Eq. 4 unlink on the
-  // tenant that loses the shared copy, mirroring the engine's own charge
-  // so per-tenant sums stay equal to the merged global stats.
-  auto ShareObserver = [&Result, this](const UnshareEvent &Event) {
-    for (const SharedContentIndex::Link &L : Event.Links) {
-      TenantResult &Loser = Result.Tenants[L.Tenant];
-      ++Loser.UnshareUnlinks;
-      Loser.UnlinkOverhead += Policy.Costs.unlinkingOverhead(1);
-    }
-  };
-
   // Tenant roster: one TenantTag record per tenant so trace viewers can
   // resolve the tenant lanes to benchmark names.
   if (telemetry::TelemetrySink *Tel = Hooks.Telemetry)
@@ -238,27 +201,65 @@ MultiTenantResult MultiTenantSimulator::run() {
                          static_cast<uint32_t>(T), telemetry::NoBlock,
                          Tel->Tracer.internLabel(Traces[T].Name), 0, 0);
 
-  // Build the manager(s).
+  // Build the manager(s). Per-tenant attribution rides the engine's two
+  // eviction hooks. The batch hook fires first: it charges the batch
+  // (Eq. 2) to the tenant being stepped, each victim to its owner, and —
+  // because it runs before the engine drains the batch's shared
+  // representatives — one single-link Eq. 4 unshare to every tenant about
+  // to lose a link. The unlink hook then charges the dangling chain links
+  // to the victims' owners, so within a batch a tenant's unshare charges
+  // are summed before its dangling ones, exactly as the engine sums them.
   const size_t NumManagers = Policy.Mode == PartitionMode::Shared ? 1 : K;
-  std::vector<std::unique_ptr<CacheManager>> Managers;
+  std::vector<std::unique_ptr<CacheEngine>> Managers;
   Managers.reserve(NumManagers);
+  size_t Stepping = 0; // Tenant whose access is in flight (the evictor).
   const bool QuotaInUnits =
       Policy.Mode == PartitionMode::UnitQuota &&
       Policy.Granularity.Kind == GranularitySpec::KindType::Units &&
       Policy.Granularity.Units >= 2;
   for (size_t M = 0; M < NumManagers; ++M) {
-    CacheManagerConfig MC;
+    CacheEngineConfig MC;
     MC.CapacityBytes =
         Policy.Mode == PartitionMode::Shared ? TotalCapacity
                                              : TenantCapacities[M];
     MC.Costs = Policy.Costs;
     MC.EnableChaining = Policy.EnableChaining;
-    MC.OnEviction = Observer;
     MC.Telemetry = Hooks.Telemetry;
-    if (Policy.ShareCode) {
+    if (Policy.ShareCode)
       MC.ContentIndex = &ContentIdx;
-      MC.OnUnshare = ShareObserver;
-    }
+    MC.OnEvictPayload = [&, M](std::span<const CodeCache::Resident> Vs) {
+      TenantResult &Evictor = Result.Tenants[Stepping];
+      ++Evictor.EvictionInvocationsTriggered;
+      uint64_t BatchBytes = 0;
+      for (const CodeCache::Resident &V : Vs) {
+        const TenantId Owner = Managers[M]->tenantOf(V.Id);
+        TenantResult &Victim = Result.Tenants[Owner];
+        BatchBytes += V.Size;
+        ++Victim.BlocksEvicted;
+        Victim.BytesEvicted += V.Size;
+        if (Owner != Stepping)
+          ++Victim.BlocksLostToOthers;
+        ++Result.CrossEvictedBlocks[Stepping * K + Owner];
+        if (Policy.ShareCode)
+          for (const SharedContentIndex::Link &L : ContentIdx.linksOf(V.Id)) {
+            TenantResult &Loser = Result.Tenants[L.Tenant];
+            ++Loser.UnshareUnlinks;
+            Loser.UnlinkOverhead += Policy.Costs.unlinkingOverhead(1);
+          }
+      }
+      Evictor.EvictionOverhead += Policy.Costs.evictionOverhead(BatchBytes);
+    };
+    MC.OnUnlinkPayload = [&, M](std::span<const CodeCache::Resident> Vs,
+                                std::span<const uint32_t> Dangling) {
+      for (size_t I = 0; I < Vs.size(); ++I) {
+        if (Dangling[I] == 0)
+          continue;
+        TenantResult &Victim = Result.Tenants[Managers[M]->tenantOf(Vs[I].Id)];
+        ++Victim.UnlinkOperations;
+        Victim.UnlinkedLinks += Dangling[I];
+        Victim.UnlinkOverhead += Policy.Costs.unlinkingOverhead(Dangling[I]);
+      }
+    };
     std::unique_ptr<EvictionPolicy> EP;
     if (QuotaInUnits) {
       // Keep the shared unit size: a tenant holding Q units runs Q-unit
@@ -271,14 +272,14 @@ MultiTenantResult MultiTenantSimulator::run() {
     } else {
       EP = makePolicy(Policy.Granularity);
     }
-    Managers.push_back(std::make_unique<CacheManager>(MC, std::move(EP)));
+    Managers.push_back(std::make_unique<CacheEngine>(MC, std::move(EP)));
   }
   if (Hooks.Audit != AuditLevel::Off) {
     if (Policy.ShareCode) {
       // Sharing couples the managers through the content index, so every
       // audit must see all caches at once (orphan and alias-residency
       // rules are cross-manager properties).
-      std::vector<CacheManager *> Raw;
+      std::vector<CacheEngine *> Raw;
       Raw.reserve(Managers.size());
       for (const auto &M : Managers)
         Raw.push_back(M.get());
@@ -327,7 +328,8 @@ MultiTenantResult MultiTenantSimulator::run() {
     if (Policy.ShareCode)
       Rec.ContentKey = ContentKeys[T][Local];
 
-    CacheManager &Mgr = *Managers[ManagerOf[T]];
+    CacheEngine &Mgr = *Managers[ManagerOf[T]];
+    Stepping = T;
     const AccessKind Kind = Mgr.access(Rec);
 
     TenantResult &TR = Result.Tenants[T];

@@ -140,14 +140,6 @@ void CacheEngine::drainShares() {
       ++Stats.UnshareUnlinks;
       Stats.UnlinkOverhead += Config.Costs.unlinkingOverhead(1);
     }
-    if (Config.OnUnshare && !UnshareScratch.empty()) {
-      UnshareEvent Event;
-      Event.Evictor = CurrentTenant;
-      Event.Representative = V.Id;
-      Event.SizeBytes = V.Size;
-      Event.Links = UnshareScratch;
-      Config.OnUnshare(Event);
-    }
   }
 }
 
@@ -184,25 +176,6 @@ void CacheEngine::traceEvictionBatch(uint64_t BatchBytes,
                 Stats.Accesses);
 }
 
-void CacheEngine::notifyEvictions() {
-  if (!Config.OnEviction)
-    return;
-  VictimTenantScratch.clear();
-  VictimTenantScratch.reserve(EvictedScratch.size());
-  for (const CodeCache::Resident &V : EvictedScratch)
-    VictimTenantScratch.push_back(tenantOf(V.Id));
-
-  EvictionBatchEvent Event;
-  Event.Evictor = CurrentTenant;
-  Event.Victims = EvictedScratch;
-  Event.VictimTenants = VictimTenantScratch;
-  // DanglingScratch lines up with EvictedScratch only when unlink charges
-  // were actually accounted; otherwise report no repaired links.
-  if (Config.EnableChaining && Policy->usesBackPointerTable(Cache.capacity()))
-    Event.DanglingLinks = DanglingScratch;
-  Config.OnEviction(Event);
-}
-
 AccessKind CacheEngine::missAndInsert(const SuperblockRecord &Rec) {
   // Miss: the superblock must be regenerated (re-translated, inserted,
   // hash table updated) at the Eq. 3 cost; there is no backing store.
@@ -221,10 +194,8 @@ AccessKind CacheEngine::missAndInsert(const SuperblockRecord &Rec) {
   const CodeCache::PrepareOutcome Prep =
       Cache.prepareInsert(Rec.SizeBytes, Quantum, EvictedScratch);
   Stats.WastedBytes += Prep.WastedBytes;
-  if (!EvictedScratch.empty()) {
+  if (!EvictedScratch.empty())
     chargeEvictions(Prep.UnitsFlushed);
-    notifyEvictions();
-  }
 
   if (!Prep.CanInsert) {
     ++Stats.TooBigMisses;
@@ -349,7 +320,6 @@ void CacheEngine::flushEntireCache() {
     LastUnit = Unit;
   }
   chargeEvictions(Units);
-  notifyEvictions();
   maybeAudit(true, "flush");
 }
 

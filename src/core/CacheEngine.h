@@ -28,12 +28,13 @@
 ///    payload hooks below and never pays for the policy's access
 ///    bookkeeping.
 ///
-/// Payload hooks let a front-end tear its own structures down per victim
-/// (dispatch-table entries, fragment slots) in lockstep with the engine's
-/// accounting; see CacheEngineConfig::OnEvictPayload / OnUnlinkPayload.
-///
-/// `CacheManager` (core/CacheManager.h) is an alias of this class kept
-/// for the trace-driven call sites and docs that use the paper's name.
+/// The two payload hooks are the engine's only eviction extension points,
+/// one per action of the paper's cache manager on eviction: flush a batch
+/// (Eq. 2) and repair the links left dangling (Eq. 4). Front-ends tear
+/// their own structures down per victim (dispatch-table entries, fragment
+/// slots) and multi-tenant drivers attribute each charge to a tenant, in
+/// lockstep with the engine's accounting; see
+/// CacheEngineConfig::OnEvictPayload / OnUnlinkPayload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,48 +55,6 @@
 #include <span>
 
 namespace ccsim {
-
-/// One batch of evictions (a single eviction invocation or full flush),
-/// reported to an observer with tenant attribution. All spans alias the
-/// engine's scratch buffers and are valid only during the callback.
-struct EvictionBatchEvent {
-  /// Tenant whose access triggered the batch (the "evictor").
-  TenantId Evictor = 0;
-
-  /// Victims in FIFO (oldest-first) eviction order.
-  std::span<const CodeCache::Resident> Victims;
-
-  /// Owner of each victim, parallel to Victims.
-  std::span<const TenantId> VictimTenants;
-
-  /// Incoming links from survivors repaired per victim, parallel to
-  /// Victims. Empty when the run has no back-pointer table (chaining
-  /// disabled or a whole-cache FLUSH policy).
-  std::span<const uint32_t> DanglingLinks;
-};
-
-/// Observer invoked after each eviction batch has been accounted.
-using EvictionObserver = std::function<void(const EvictionBatchEvent &)>;
-
-/// One content-shared representative being force-unshared because it was
-/// evicted: every tenant that linked the copy loses it and pays one Eq. 4
-/// unlink. The span aliases engine scratch and is valid only during the
-/// callback.
-struct UnshareEvent {
-  /// Tenant whose access triggered the eviction batch.
-  TenantId Evictor = 0;
-
-  /// The evicted representative block.
-  SuperblockId Representative = InvalidSuperblockId;
-  uint32_t SizeBytes = 0;
-
-  /// The drained links, in the order they were created.
-  std::span<const SharedContentIndex::Link> Links;
-};
-
-/// Observer invoked per unshared representative, after the engine charged
-/// the drain (multi-tenant per-tenant attribution).
-using UnshareObserver = std::function<void(const UnshareEvent &)>;
 
 class CacheEngine;
 
@@ -126,11 +85,14 @@ constexpr AuditLevel defaultAuditLevel() {
 using AuditHook =
     std::function<void(const CacheEngine &, const char *Where)>;
 
-/// Front-end teardown hook, fired at the top of each eviction batch
-/// (before the engine's own accounting) with the victims in FIFO order.
-/// The span aliases the engine's scratch buffer and is valid only during
-/// the call. The cache still reports the victims as non-resident by the
-/// time the hook runs; the owner drops its per-fragment state here.
+/// Eviction-batch hook, fired at the top of each batch (a single eviction
+/// invocation or a full flush, before the engine's own accounting) with
+/// the victims in FIFO (oldest-first) order. The span aliases the engine's
+/// scratch buffer and is valid only during the call. The cache already
+/// reports the victims as non-resident, while CacheEngine::tenantOf still
+/// names their owners and a SharedContentIndex still holds the links of
+/// any victim that is a shared representative (the engine drains them
+/// after the hook).
 using EvictPayloadHook =
     std::function<void(std::span<const CodeCache::Resident> Victims)>;
 
@@ -164,17 +126,15 @@ struct CacheEngineConfig {
   /// charges). Disabling models a system without chaining (Table 2).
   bool EnableChaining = true;
 
-  /// Optional eviction attribution hook (multi-tenant accounting). Left
-  /// empty in single-tenant runs; the hot path never pays for it then.
-  EvictionObserver OnEviction;
-
-  /// Optional per-victim teardown hook for execution-driven owners. Fires
-  /// first in every eviction batch, before the engine's counters, link
-  /// repair, and telemetry.
+  /// Optional per-batch hook (execution-driven teardown, multi-tenant
+  /// attribution). Fires first in every eviction batch, before the
+  /// engine's counters, link repair, share drain, and telemetry. Owners
+  /// whose hooks capture `this` pass them when the engine member is
+  /// constructed.
   EvictPayloadHook OnEvictPayload;
 
-  /// Optional unlink hook for execution-driven owners. Fires inside the
-  /// chaining block, after the link graph repaired the batch.
+  /// Optional unlink hook. Fires inside the chaining block, after the
+  /// link graph repaired the batch.
   UnlinkPayloadHook OnUnlinkPayload;
 
   /// Optional cross-tenant content index (ShareJIT-style sharing). Null —
@@ -187,11 +147,6 @@ struct CacheEngineConfig {
   /// representative force-drains its links with per-link Eq. 4 charges.
   /// One index may be shared by several engines (partitioned tenancy).
   SharedContentIndex *ContentIndex = nullptr;
-
-  /// Optional observer fired per unshared representative (after the
-  /// engine accounted the drain). Only ever fired when ContentIndex is
-  /// set.
-  UnshareObserver OnUnshare;
 
   /// Optional telemetry endpoint. Null (the default) is the disabled
   /// fast path: hits emit nothing at all, and the miss/eviction paths pay
@@ -255,16 +210,6 @@ public:
   /// Cross-checks CodeCache and LinkGraph invariants (tests).
   bool checkInvariants() const;
 
-  /// Late payload wiring, for owners whose hooks capture `this`: the
-  /// engine is typically a member constructed before the owner can form
-  /// such a lambda. Install the hooks before the first mutating call.
-  void setEvictPayload(EvictPayloadHook Hook) {
-    Config.OnEvictPayload = std::move(Hook);
-  }
-  void setUnlinkPayload(UnlinkPayloadHook Hook) {
-    Config.OnUnlinkPayload = std::move(Hook);
-  }
-
   /// Whether the most recent access() created a *new* share link (its
   /// AccessKind::SharedHit was the first time this (tenant, id) resolved
   /// to the shared copy — a shared install). Multi-tenant drivers use
@@ -326,8 +271,7 @@ public:
   /// Victims of the most recent miss/flush (empty when it evicted
   /// nothing). Read-only view of the internal scratch — valid until the
   /// next mutating call. Lets a one-pass driver maintain its residency
-  /// index without the copying OnEviction observer costs on the miss
-  /// path.
+  /// index without a per-batch hook on the miss path.
   const std::vector<CodeCache::Resident> &lastEvictions() const {
     return EvictedScratch;
   }
@@ -343,7 +287,6 @@ private:
   std::vector<TenantId> TenantById;
   std::vector<CodeCache::Resident> EvictedScratch;
   std::vector<uint32_t> DanglingScratch;
-  std::vector<TenantId> VictimTenantScratch;
   std::vector<SharedContentIndex::Link> UnshareScratch;
   TenantId CurrentTenant = 0; // Tenant of the in-flight access.
   bool LastShareLinked = false;
@@ -363,7 +306,6 @@ private:
 
   void chargeEvictions(uint64_t UnitsFlushed);
   void drainShares();
-  void notifyEvictions();
   bool seenBefore(SuperblockId Id);
   void traceMiss(const SuperblockRecord &Rec, bool Cold, uint64_t Quantum);
   void traceEvictionBatch(uint64_t BatchBytes, bool HaveDangling);

@@ -25,7 +25,7 @@
 /// dense circular-buffer implementation.
 ///
 /// The class tracks placement only. Links, costs, and policy decisions
-/// live in LinkGraph, CostModel, and CacheManager.
+/// live in LinkGraph, CostModel, and CacheEngine.
 ///
 //===----------------------------------------------------------------------===//
 

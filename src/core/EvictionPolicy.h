@@ -23,7 +23,7 @@
 ///                   program phase change (Section 2.3).
 ///
 /// A policy's only placement-affecting decision is its eviction *quantum*;
-/// the CacheManager asks for it on every miss, so adaptive policies may
+/// the CacheEngine asks for it on every miss, so adaptive policies may
 /// change their answer over time.
 ///
 //===----------------------------------------------------------------------===//

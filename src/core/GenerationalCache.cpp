@@ -7,8 +7,7 @@
 
 using namespace ccsim;
 
-GenerationalCacheManager::GenerationalCacheManager(
-    const GenerationalConfig &Config)
+GenerationalCache::GenerationalCache(const GenerationalConfig &Config)
     : Config(Config),
       Nursery(std::max<uint64_t>(
           1, Config.CapacityBytes -
@@ -26,15 +25,15 @@ GenerationalCacheManager::GenerationalCacheManager(
                 "promotion threshold must be at least one insert");
 }
 
-uint32_t GenerationalCacheManager::bumpInsertCount(SuperblockId Id) {
+uint32_t GenerationalCache::bumpInsertCount(SuperblockId Id) {
   if (Id >= InsertCount.size())
     InsertCount.resize(std::max<size_t>(Id + 1, InsertCount.size() * 2), 0);
   return ++InsertCount[Id];
 }
 
-void GenerationalCacheManager::chargeEvictions(uint64_t Bytes,
-                                               size_t Blocks,
-                                               uint64_t Units) {
+void GenerationalCache::chargeEvictions(uint64_t Bytes,
+                                        size_t Blocks,
+                                        uint64_t Units) {
   ++Stats.EvictionInvocations;
   Stats.EvictedBlocks += Blocks;
   Stats.EvictedBytes += Bytes;
@@ -42,7 +41,7 @@ void GenerationalCacheManager::chargeEvictions(uint64_t Bytes,
   Stats.EvictionOverhead += Config.Costs.evictionOverhead(Bytes);
 }
 
-AccessKind GenerationalCacheManager::access(const SuperblockRecord &Rec) {
+AccessKind GenerationalCache::access(const SuperblockRecord &Rec) {
   CCSIM_ASSERT(Rec.Id != InvalidSuperblockId, "invalid superblock id");
   CCSIM_ASSERT(Rec.SizeBytes > 0,
                "superblock %u must have a positive size", Rec.Id);
@@ -102,7 +101,7 @@ AccessKind GenerationalCacheManager::access(const SuperblockRecord &Rec) {
   return AccessKind::Miss;
 }
 
-bool GenerationalCacheManager::checkInvariants() const {
+bool GenerationalCache::checkInvariants() const {
   if (!Nursery.checkInvariants() || !Tenured.checkInvariants())
     return false;
   // Exclusive residency.

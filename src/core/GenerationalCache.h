@@ -24,7 +24,7 @@
 #ifndef CCSIM_CORE_GENERATIONALCACHE_H
 #define CCSIM_CORE_GENERATIONALCACHE_H
 
-#include "core/CacheManager.h" // AccessKind
+#include "core/CacheEngine.h" // AccessKind
 #include "core/CacheStats.h"
 #include "core/CodeCache.h"
 #include "core/CostModel.h"
@@ -46,9 +46,9 @@ struct GenerationalConfig {
 };
 
 /// A two-generation code cache manager (nursery + tenured).
-class GenerationalCacheManager {
+class GenerationalCache {
 public:
-  explicit GenerationalCacheManager(const GenerationalConfig &Config);
+  explicit GenerationalCache(const GenerationalConfig &Config);
 
   /// Processes one superblock dispatch event.
   AccessKind access(const SuperblockRecord &Rec);

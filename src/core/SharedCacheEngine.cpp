@@ -11,8 +11,8 @@ using namespace ccsim;
 namespace {
 
 /// Contention timing is confined here: the value feeds the lock-wait
-/// histogram only and never any simulated state, so replay determinism
-/// is unaffected.
+/// counter and histogram only and never any simulated state, so replay
+/// determinism is unaffected.
 uint64_t nowMicros() {
   // ccsim-lint: allow(determinism.wall-clock) -- contention telemetry only; the sample never feeds simulated state
   const auto T = std::chrono::steady_clock::now().time_since_epoch();
@@ -20,9 +20,9 @@ uint64_t nowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(T).count());
 }
 
-/// RAII exclusive hold on a ccsim::Mutex that counts the stall (and,
-/// when a histogram is wired, the blocked microseconds) if the fast
-/// try_lock loses.
+/// RAII exclusive hold on a ccsim::Mutex that, when the fast try_lock
+/// loses, counts the stall and the blocked microseconds (also observed
+/// into the histogram when one is wired).
 class CCSIM_SCOPED_CAPABILITY TimedLock {
 public:
   TimedLock(Mutex &M, std::atomic<uint64_t> &Stalls,
@@ -32,17 +32,13 @@ public:
     if (M.try_lock())
       return;
     Stalls.fetch_add(1, std::memory_order_relaxed);
-    if (!Hist) {
-      // ccsim-lint: allow(locking.naked-lock) -- TimedLock IS the RAII guard; its ctor owns the acquire
-      M.lock();
-      return;
-    }
     const uint64_t T0 = nowMicros();
     // ccsim-lint: allow(locking.naked-lock) -- TimedLock IS the RAII guard; its ctor owns the acquire
     M.lock();
     const uint64_t Waited = nowMicros() - T0;
     WaitMicros.fetch_add(Waited, std::memory_order_relaxed);
-    Hist->observe(static_cast<double>(Waited));
+    if (Hist)
+      Hist->observe(static_cast<double>(Waited));
   }
   // ccsim-lint: allow(locking.naked-lock) -- the matching RAII release of the guard itself
   ~TimedLock() CCSIM_RELEASE() { M.unlock(); }
@@ -74,24 +70,23 @@ ShareMode SharedCacheEngine::preferredMode(unsigned GuestThreads,
   return ShareMode::Concurrent;
 }
 
-/// The shared engine interposes on the eviction-batch payload hook; the
-/// owner's own hook (if any) is saved aside and re-fired under the
-/// fences.
-static CacheEngineConfig stripPayloadHook(const SharedEngineConfig &Config) {
-  CacheEngineConfig EC = Config.Engine;
-  EC.OnEvictPayload = nullptr;
-  return EC;
-}
-
 SharedCacheEngine::SharedCacheEngine(const SharedEngineConfig &Config,
                                      std::unique_ptr<EvictionPolicy> Policy,
                                      ShareMode Mode)
-    : Mode(Mode), Engine(stripPayloadHook(Config), std::move(Policy)),
-      OwnerEvictPayload(Config.Engine.OnEvictPayload),
+    : Mode(Mode),
+      // The fence hook wraps the owner's batch hook (if any), which then
+      // runs with the victims' region fences held.
+      Engine(
+          [&] {
+            CacheEngineConfig EC = Config.Engine;
+            EC.OnEvictPayload = [this, Owner = Config.Engine.OnEvictPayload](
+                                    std::span<const CodeCache::Resident> V) {
+              onEvictionBatch(V, Owner);
+            };
+            return EC;
+          }(),
+          std::move(Policy)),
       OnInstallPayload(Config.OnInstallPayload) {
-  Engine.setEvictPayload([this](std::span<const CodeCache::Resident> Victims) {
-    onEvictionBatch(Victims);
-  });
   NShards = roundUpPow2(std::max(1u, Config.Shards));
   ShardMask = NShards - 1;
   ShardBits = 0;
@@ -327,7 +322,8 @@ void SharedCacheEngine::reconcileIndexEntry(SuperblockId Id) {
 }
 
 void SharedCacheEngine::onEvictionBatch(
-    std::span<const CodeCache::Resident> Victims) {
+    std::span<const CodeCache::Resident> Victims,
+    const EvictPayloadHook &Owner) {
   // Runs under EngineMu (all evictions originate from a miss / install /
   // flush holding it). Take the victims' region fences exclusively in
   // ascending order, tear down payloads, then kill the index entries --
@@ -345,8 +341,8 @@ void SharedCacheEngine::onEvictionBatch(
       // ccsim-lint: allow(locking.naked-lock) -- counted slow-path acquire of a variable-length fence set; released below in reverse order
       Fences[R].Mu.lock();
     }
-  if (OwnerEvictPayload)
-    OwnerEvictPayload(Victims);
+  if (Owner)
+    Owner(Victims);
   for (const CodeCache::Resident &V : Victims) {
     Shard &S = Shards[shardOf(V.Id)];
     WriterLock WL(S.Mu);

@@ -98,8 +98,8 @@ struct ContentionCounters {
 
 /// Configuration for a SharedCacheEngine.
 struct SharedEngineConfig {
-  /// Underlying engine configuration. OnEvictPayload/OnEviction hooks are
-  /// honored: the payload hook fires with the victims' region fences held
+  /// Underlying engine configuration. Both payload hooks are honored;
+  /// OnEvictPayload fires with the victims' region fences held
   /// exclusively (per-victim teardown under the eviction fence).
   CacheEngineConfig Engine;
 
@@ -232,11 +232,13 @@ private:
 
   /// Eviction-batch hook installed on the inner engine: takes the
   /// victims' region fences exclusively, runs the owner's payload
-  /// teardown, and removes the victims from the index -- all before the
-  /// engine's own accounting. Runs under EngineMu by construction (every
-  /// eviction originates from a miss/install/flush under it). The lock
-  /// set is data-dependent, which the analysis cannot model.
-  void onEvictionBatch(std::span<const CodeCache::Resident> Victims)
+  /// teardown \p Owner, and removes the victims from the index -- all
+  /// before the engine's own accounting. Runs under EngineMu by
+  /// construction (every eviction originates from a miss/install/flush
+  /// under it). The lock set is data-dependent, which the analysis cannot
+  /// model.
+  void onEvictionBatch(std::span<const CodeCache::Resident> Victims,
+                       const EvictPayloadHook &Owner)
       CCSIM_NO_THREAD_SAFETY_ANALYSIS;
 
   /// quiesce() helpers: acquire / release EngineMu + every fence + every
@@ -254,7 +256,6 @@ private:
 
   ccsim::Mutex EngineMu;
   CacheEngine Engine CCSIM_GUARDED_BY(EngineMu);
-  EvictPayloadHook OwnerEvictPayload; ///< Immutable after construction.
   std::function<void(const SuperblockRecord &)>
       OnInstallPayload; ///< Immutable after construction.
 

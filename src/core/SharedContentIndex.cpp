@@ -63,6 +63,16 @@ bool SharedContentIndex::releaseRepresentative(SuperblockId Rep,
   return true;
 }
 
+std::span<const SharedContentIndex::Link>
+SharedContentIndex::linksOf(SuperblockId Rep) const {
+  const auto RepIt = KeyOfRep.find(Rep);
+  if (RepIt == KeyOfRep.end())
+    return {};
+  const auto It = ByKey.find(RepIt->second);
+  CCSIM_ASSERT(It != ByKey.end(), "representative mirror out of sync");
+  return It->second.Links;
+}
+
 void SharedContentIndex::clear() {
   ByKey.clear();
   KeyOfRep.clear();

@@ -132,6 +132,11 @@ public:
     return KeyOfRep.count(Id) != 0;
   }
 
+  /// Live links of representative \p Rep in chronological order — the
+  /// links an eviction of \p Rep would drain. Empty when \p Rep is not a
+  /// representative. Valid until the index is next mutated.
+  std::span<const Link> linksOf(SuperblockId Rep) const;
+
   size_t entryCount() const { return ByKey.size(); }
   uint64_t liveLinkCount() const { return LiveLinks; }
 

@@ -131,8 +131,8 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
     EC.EnableChaining = Job.Config.EnableChaining;
     // No per-engine telemetry: a shared engine replicates the metrics
     // recording at settle time instead of emitting per-access events.
-    // No OnEviction observer either — the miss path reads lastEvictions()
-    // to keep the residency bitmask exact without per-batch copies.
+    // No payload hooks either — the miss path reads lastEvictions() to
+    // keep the residency bitmask exact without per-batch copies.
     EC.Telemetry = nullptr;
     SharedState S;
     S.Engine = std::make_unique<CacheEngine>(EC, makePolicy(Job.Spec));

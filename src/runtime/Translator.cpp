@@ -9,23 +9,33 @@
 
 using namespace ccsim;
 
+/// \p EC with an owner's payload hooks wired in. The hooks capture the
+/// owner, so they are formed in its member initializer.
+static CacheEngineConfig withPayloads(CacheEngineConfig EC,
+                                      EvictPayloadHook Evict,
+                                      UnlinkPayloadHook Unlink = nullptr) {
+  EC.OnEvictPayload = std::move(Evict);
+  EC.OnUnlinkPayload = std::move(Unlink);
+  return EC;
+}
+
 Translator::Translator(const Program &P, const TranslatorConfig &Config)
     : Prog(P), Config(Config), State(Config.GuestMemoryBytes),
-      Engine({Config.CacheBytes, Config.EnableChaining, Config.Telemetry},
+      Engine(withPayloads(
+                 {Config.CacheBytes, Config.EnableChaining, Config.Telemetry},
+                 [this](auto V) { onSuperblockEvict(V); },
+                 [this](auto V, auto D) { onSuperblockUnlink(V, D); }),
              makePolicy(Config.Policy)),
       // BB fragments never enter the link graph; the tier runs
       // fine-grained FIFO (DynamoRIO's default), i.e. a one-byte quantum.
-      BBEngine({Config.BBCacheBytes, /*EnableChaining=*/false,
-                Config.Telemetry},
+      BBEngine(withPayloads({Config.BBCacheBytes, /*EnableChaining=*/false,
+                             Config.Telemetry},
+                            [this](auto V) { onBasicBlockEvict(V); }),
                makePolicy(GranularitySpec::fine())),
       Jitter(Config.Seed) {
   State.PC = P.EntryPC;
   HotCounter.assign(P.size(), 0);
   IdLookup.assign(P.size(), -1);
-  Engine.setEvictPayload([this](auto V) { onSuperblockEvict(V); });
-  Engine.setUnlinkPayload(
-      [this](auto V, auto D) { onSuperblockUnlink(V, D); });
-  BBEngine.setEvictPayload([this](auto V) { onBasicBlockEvict(V); });
 }
 
 SuperblockId Translator::idForPC(uint32_t PC) {

@@ -48,7 +48,7 @@ SimResult ccsim::sim::run(const Trace &T,
   Result.MaxCacheBytes = T.maxCacheBytes();
   Result.CapacityBytes = capacityFor(T, Config);
 
-  CacheManagerConfig MC;
+  CacheEngineConfig MC;
   MC.CapacityBytes = Result.CapacityBytes;
   MC.Costs = Config.Costs;
   MC.EnableChaining = Config.EnableChaining;
@@ -63,7 +63,7 @@ SimResult ccsim::sim::run(const Trace &T,
                        MarkId, 1, 0);
   }
 
-  CacheManager Manager(MC, std::move(Policy));
+  CacheEngine Manager(MC, std::move(Policy));
   if (Config.Audit != AuditLevel::Off)
     check::armAuditor(Manager, check::ParanoiaOptions{Config.Audit, true, {}});
   if (!Config.Cancel) {

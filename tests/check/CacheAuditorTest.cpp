@@ -134,9 +134,9 @@ TEST(CacheAuditorTest, LiveManagerAuditsCleanUnderEveryGranularity) {
   for (const GranularitySpec &Spec :
        {GranularitySpec::flush(), GranularitySpec::units(8),
         GranularitySpec::fine()}) {
-    CacheManagerConfig Config;
+    CacheEngineConfig Config;
     Config.CapacityBytes = 4096;
-    CacheManager Manager(Config, makePolicy(Spec));
+    CacheEngine Manager(Config, makePolicy(Spec));
     Rng R(0xa0d17u);
     std::vector<SuperblockId> Edges;
     for (int I = 0; I < 4000; ++I) {
@@ -181,7 +181,7 @@ TEST(CacheAuditorTest, LiveFreeListAuditsClean) {
 TEST(CacheAuditorTest, LiveGenerationalAuditsClean) {
   GenerationalConfig Config;
   Config.CapacityBytes = 4096;
-  GenerationalCacheManager Manager(Config);
+  GenerationalCache Manager(Config);
   Rng R(0x9e4);
   for (int I = 0; I < 3000; ++I) {
     Manager.access(rec(static_cast<SuperblockId>(R.nextBelow(120)),
@@ -194,9 +194,9 @@ TEST(CacheAuditorTest, LiveGenerationalAuditsClean) {
 }
 
 TEST(CacheAuditorTest, CapturesMirrorLiveState) {
-  CacheManagerConfig Config;
+  CacheEngineConfig Config;
   Config.CapacityBytes = 2048;
-  CacheManager Manager(Config, makePolicy(GranularitySpec::units(4)));
+  CacheEngine Manager(Config, makePolicy(GranularitySpec::units(4)));
   for (SuperblockId Id = 0; Id < 20; ++Id)
     Manager.access(rec(Id, 200, {static_cast<SuperblockId>((Id + 1) % 20)}));
 

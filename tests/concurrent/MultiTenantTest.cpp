@@ -24,11 +24,11 @@ const std::vector<Trace> &tenantTraces() {
   return Traces;
 }
 
-MultiTenantConfig baseConfig() {
-  MultiTenantConfig Config;
-  Config.Granularity = GranularitySpec::units(8);
-  Config.PressureFactor = 2.0;
-  return Config;
+TenancyPolicy basePolicy() {
+  TenancyPolicy Policy;
+  Policy.Granularity = GranularitySpec::units(8);
+  Policy.PressureFactor = 2.0;
+  return Policy;
 }
 
 void expectTenantSumsMatchGlobal(const MultiTenantResult &R) {
@@ -76,9 +76,9 @@ void expectTenantSumsMatchGlobal(const MultiTenantResult &R) {
 } // namespace
 
 TEST(MultiTenantTest, SharedModeSumsToGlobalStats) {
-  MultiTenantConfig Config = baseConfig();
-  Config.Mode = PartitionMode::Shared;
-  MultiTenantSimulator Sim(tenantTraces(), Config);
+  TenancyPolicy Policy = basePolicy();
+  Policy.Mode = PartitionMode::Shared;
+  MultiTenantSimulator Sim(tenantTraces(), Policy);
   const MultiTenantResult R = Sim.run();
 
   ASSERT_EQ(R.Tenants.size(), 3u);
@@ -100,9 +100,9 @@ TEST(MultiTenantTest, SharedModeSumsToGlobalStats) {
 TEST(MultiTenantTest, PartitionedModesSumToGlobalStats) {
   for (PartitionMode Mode :
        {PartitionMode::StaticPartition, PartitionMode::UnitQuota}) {
-    MultiTenantConfig Config = baseConfig();
-    Config.Mode = Mode;
-    MultiTenantSimulator Sim(tenantTraces(), Config);
+    TenancyPolicy Policy = basePolicy();
+    Policy.Mode = Mode;
+    MultiTenantSimulator Sim(tenantTraces(), Policy);
     expectTenantSumsMatchGlobal(Sim.run());
   }
 }
@@ -110,10 +110,10 @@ TEST(MultiTenantTest, PartitionedModesSumToGlobalStats) {
 TEST(MultiTenantTest, SharedModeShowsCrossTenantEvictions) {
   // Under real pressure a fully shared FIFO cannot protect tenants from
   // each other: some block must eventually be evicted by a foreign miss.
-  MultiTenantConfig Config = baseConfig();
-  Config.Mode = PartitionMode::Shared;
-  Config.PressureFactor = 4.0;
-  MultiTenantSimulator Sim(tenantTraces(), Config);
+  TenancyPolicy Policy = basePolicy();
+  Policy.Mode = PartitionMode::Shared;
+  Policy.PressureFactor = 4.0;
+  MultiTenantSimulator Sim(tenantTraces(), Policy);
   const MultiTenantResult R = Sim.run();
   uint64_t LostToOthers = 0;
   for (size_t T = 0; T < R.Tenants.size(); ++T) {
@@ -126,10 +126,10 @@ TEST(MultiTenantTest, SharedModeShowsCrossTenantEvictions) {
 TEST(MultiTenantTest, StaticPartitioningIsolatesTenants) {
   // Thrash the cache hard: even then, a tenant's blocks may only be
   // evicted by its own misses under static partitioning.
-  MultiTenantConfig Config = baseConfig();
-  Config.Mode = PartitionMode::StaticPartition;
-  Config.PressureFactor = 8.0;
-  MultiTenantSimulator Sim(tenantTraces(), Config);
+  TenancyPolicy Policy = basePolicy();
+  Policy.Mode = PartitionMode::StaticPartition;
+  Policy.PressureFactor = 8.0;
+  MultiTenantSimulator Sim(tenantTraces(), Policy);
   const MultiTenantResult R = Sim.run();
 
   const size_t K = R.Tenants.size();
@@ -148,10 +148,10 @@ TEST(MultiTenantTest, StaticPartitioningIsolatesTenants) {
 }
 
 TEST(MultiTenantTest, UnitQuotaIsolatesAndUsesWholeUnits) {
-  MultiTenantConfig Config = baseConfig();
-  Config.Mode = PartitionMode::UnitQuota;
-  Config.PressureFactor = 8.0;
-  MultiTenantSimulator Sim(tenantTraces(), Config);
+  TenancyPolicy Policy = basePolicy();
+  Policy.Mode = PartitionMode::UnitQuota;
+  Policy.PressureFactor = 8.0;
+  MultiTenantSimulator Sim(tenantTraces(), Policy);
 
   // Quotas are whole units of the shared cache.
   const uint64_t UnitBytes =
@@ -167,12 +167,12 @@ TEST(MultiTenantTest, UnitQuotaIsolatesAndUsesWholeUnits) {
 TEST(MultiTenantTest, RunsAreDeterministic) {
   for (InterleaveKind Schedule :
        {InterleaveKind::RoundRobin, InterleaveKind::Weighted}) {
-    MultiTenantConfig Config = baseConfig();
-    Config.Mode = PartitionMode::Shared;
-    Config.Schedule = Schedule;
-    Config.Tenants = {{1.0}, {2.5}, {0.5}};
-    MultiTenantSimulator A(tenantTraces(), Config);
-    MultiTenantSimulator B(tenantTraces(), Config);
+    TenancyPolicy Policy = basePolicy();
+    Policy.Mode = PartitionMode::Shared;
+    Policy.Schedule = Schedule;
+    Policy.Tenants = {{1.0}, {2.5}, {0.5}};
+    MultiTenantSimulator A(tenantTraces(), Policy);
+    MultiTenantSimulator B(tenantTraces(), Policy);
     const MultiTenantResult RA = A.run();
     const MultiTenantResult RB = B.run();
     ASSERT_EQ(RA.Tenants.size(), RB.Tenants.size());
@@ -187,11 +187,11 @@ TEST(MultiTenantTest, RunsAreDeterministic) {
 }
 
 TEST(MultiTenantTest, WeightedScheduleConsumesEveryStream) {
-  MultiTenantConfig Config = baseConfig();
-  Config.Mode = PartitionMode::StaticPartition;
-  Config.Schedule = InterleaveKind::Weighted;
-  Config.Tenants = {{4.0}, {1.0}, {1.0}};
-  MultiTenantSimulator Sim(tenantTraces(), Config);
+  TenancyPolicy Policy = basePolicy();
+  Policy.Mode = PartitionMode::StaticPartition;
+  Policy.Schedule = InterleaveKind::Weighted;
+  Policy.Tenants = {{4.0}, {1.0}, {1.0}};
+  MultiTenantSimulator Sim(tenantTraces(), Policy);
   const MultiTenantResult R = Sim.run();
   for (size_t T = 0; T < R.Tenants.size(); ++T)
     EXPECT_EQ(R.Tenants[T].Accesses, tenantTraces()[T].numAccesses());
@@ -201,14 +201,13 @@ TEST(MultiTenantTest, FullyAuditedRunMatchesUnaudited) {
   // Arming the deep auditor on every tenant manager (which aborts on the
   // first violation) both certifies the shared-cache structures after
   // every mutation and must not perturb the simulation itself.
-  MultiTenantConfig Plain = baseConfig();
-  Plain.Mode = PartitionMode::Shared;
-  Plain.Audit = AuditLevel::Off;
-  MultiTenantConfig Audited = Plain;
-  Audited.Audit = AuditLevel::Full;
+  TenancyPolicy Policy = basePolicy();
+  Policy.Mode = PartitionMode::Shared;
 
-  MultiTenantSimulator A(tenantTraces(), Plain);
-  MultiTenantSimulator B(tenantTraces(), Audited);
+  MultiTenantSimulator A(tenantTraces(), Policy,
+                         TenantRunHooks().withAudit(AuditLevel::Off));
+  MultiTenantSimulator B(tenantTraces(), Policy,
+                         TenantRunHooks().withAudit(AuditLevel::Full));
   const MultiTenantResult RA = A.run();
   const MultiTenantResult RB = B.run();
 

@@ -1,11 +1,11 @@
 //===- tests/core/CacheEngineTest.cpp - Payload-callback engine tests -----===//
 //
-// The engine-specific surface on top of what CacheManagerTest already
-// covers (CacheManager is an alias of CacheEngine): the install() front
-// door used by execution-driven owners, and the OnEvictPayload /
-// OnUnlinkPayload teardown hooks with their ordering contract -- evict
-// payload first (before the engine touches counters or links), unlink
-// payload after the link graph repaired the batch.
+// The engine surface on top of what CacheManagerTest already covers
+// through access(): the install() front door used by execution-driven
+// owners, and the OnEvictPayload / OnUnlinkPayload teardown hooks with
+// their ordering contract -- evict payload first (before the engine
+// touches counters or links), unlink payload after the link graph
+// repaired the batch.
 //
 //===----------------------------------------------------------------------===//
 

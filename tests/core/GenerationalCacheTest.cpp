@@ -27,7 +27,7 @@ GenerationalConfig smallConfig() {
 } // namespace
 
 TEST(GenerationalCacheTest, FirstInsertGoesToNursery) {
-  GenerationalCacheManager M(smallConfig());
+  GenerationalCache M(smallConfig());
   EXPECT_EQ(M.access(rec(0, 100)), AccessKind::Miss);
   EXPECT_TRUE(M.nursery().contains(0));
   EXPECT_FALSE(M.tenured().contains(0));
@@ -36,14 +36,14 @@ TEST(GenerationalCacheTest, FirstInsertGoesToNursery) {
 }
 
 TEST(GenerationalCacheTest, HitInEitherGeneration) {
-  GenerationalCacheManager M(smallConfig());
+  GenerationalCache M(smallConfig());
   M.access(rec(0, 100));
   EXPECT_EQ(M.access(rec(0, 100)), AccessKind::Hit);
   EXPECT_EQ(M.stats().Hits, 1u);
 }
 
 TEST(GenerationalCacheTest, ReinsertionPromotesToTenured) {
-  GenerationalCacheManager M(smallConfig());
+  GenerationalCache M(smallConfig());
   // Fill the nursery (500 bytes) to force block 0 out, then re-miss it:
   // the second insert reaches PromoteAfterInserts = 2 -> tenured.
   M.access(rec(0, 200));
@@ -60,7 +60,7 @@ TEST(GenerationalCacheTest, ReinsertionPromotesToTenured) {
 
 TEST(GenerationalCacheTest, TenuredBlocksSurviveNurseryChurn) {
   GenerationalConfig C = smallConfig();
-  GenerationalCacheManager M(C);
+  GenerationalCache M(C);
   // Tenure block 0.
   M.access(rec(0, 200));
   M.access(rec(1, 200));
@@ -74,14 +74,14 @@ TEST(GenerationalCacheTest, TenuredBlocksSurviveNurseryChurn) {
 }
 
 TEST(GenerationalCacheTest, MissOverheadUsesEquation3) {
-  GenerationalCacheManager M(smallConfig());
+  GenerationalCache M(smallConfig());
   M.access(rec(0, 230));
   EXPECT_NEAR(M.stats().MissOverhead, 19264.0, 0.01);
 }
 
 TEST(GenerationalCacheTest, TooBigForBothGenerations) {
   GenerationalConfig C = smallConfig();
-  GenerationalCacheManager M(C);
+  GenerationalCache M(C);
   EXPECT_EQ(M.access(rec(0, 900)), AccessKind::MissTooBig);
   EXPECT_FALSE(M.nursery().contains(0));
   EXPECT_FALSE(M.tenured().contains(0));
@@ -92,7 +92,7 @@ TEST(GenerationalCacheTest, OversizedForTenuredFallsBackToNursery) {
   C.CapacityBytes = 1000;
   C.TenuredFraction = 0.2; // Tenured holds only 200 bytes.
   C.PromoteAfterInserts = 1; // Everything wants tenure immediately.
-  GenerationalCacheManager M(C);
+  GenerationalCache M(C);
   EXPECT_EQ(M.access(rec(0, 500)), AccessKind::Miss);
   EXPECT_TRUE(M.nursery().contains(0)); // Too big for tenured.
   EXPECT_TRUE(M.checkInvariants());
@@ -101,7 +101,7 @@ TEST(GenerationalCacheTest, OversizedForTenuredFallsBackToNursery) {
 TEST(GenerationalCacheTest, ZeroTenuredFractionDegenerates) {
   GenerationalConfig C = smallConfig();
   C.TenuredFraction = 0.0;
-  GenerationalCacheManager M(C);
+  GenerationalCache M(C);
   for (int Round = 0; Round < 4; ++Round)
     for (SuperblockId Id = 0; Id < 12; ++Id)
       M.access(rec(Id, 150));
@@ -113,7 +113,7 @@ TEST(GenerationalCacheTest, RandomChurnKeepsInvariants) {
   GenerationalConfig C;
   C.CapacityBytes = 4096;
   C.PromoteAfterInserts = 3;
-  GenerationalCacheManager M(C);
+  GenerationalCache M(C);
   Rng R(21);
   std::vector<uint32_t> Sizes(150);
   for (auto &S : Sizes)

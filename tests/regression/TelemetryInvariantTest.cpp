@@ -147,12 +147,12 @@ TEST(TelemetryInvariantTest, PerTenantMetricsEqualSimulatorResults) {
     Traces.push_back(smallTrace(Name));
 
   telemetry::TelemetrySink Sink(1 << 18);
-  MultiTenantConfig Config;
-  Config.Mode = PartitionMode::Shared;
-  Config.Granularity = GranularitySpec::units(8);
-  Config.PressureFactor = 2.0;
-  Config.Telemetry = &Sink;
-  MultiTenantSimulator Sim(Traces, Config);
+  TenancyPolicy Policy;
+  Policy.Mode = PartitionMode::Shared;
+  Policy.Granularity = GranularitySpec::units(8);
+  Policy.PressureFactor = 2.0;
+  MultiTenantSimulator Sim(Traces, Policy,
+                           TenantRunHooks().withTelemetry(&Sink));
   const MultiTenantResult R = Sim.run();
 
   EXPECT_EQ(Sink.Tracer.kindCount(telemetry::EventKind::TenantTag),

@@ -524,9 +524,9 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   Point.Spec.Units = 0;
   EXPECT_NE(Point.validate().find("at least one unit"), std::string::npos);
 
-  // MultiTenantConfig: per-tenant weights must be positive.
-  MultiTenantConfig Tenants =
-      MultiTenantConfig().withPressure(2.0).withTenants({{1.0}, {-1.0}});
+  // TenancyPolicy: per-tenant weights must be positive.
+  TenancyPolicy Tenants =
+      TenancyPolicy().withPressure(2.0).withTenants({{1.0}, {-1.0}});
   EXPECT_NE(Tenants.validate().find("weight"), std::string::npos);
   Tenants.Tenants[1].Weight = 2.0;
   EXPECT_TRUE(Tenants.validate().empty());

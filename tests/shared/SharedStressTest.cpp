@@ -6,7 +6,9 @@
 // conservation identities hold on the aggregate counters, and the
 // concurrent-installer harness keeps its dispatch table in lockstep with
 // residency. Runs for K in {2, 4, 8}; under TSan this doubles as the data
-// race gauntlet for the whole shared stack.
+// race gauntlet for the whole shared stack. One two-thread schedule is
+// forced rather than raced: a miss that blocks on the engine lock must
+// report how long it waited even when no telemetry sink is wired.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +21,9 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 
 using namespace ccsim;
 
@@ -137,3 +141,36 @@ INSTANTIATE_TEST_SUITE_P(Guests, SharedStressTest,
                          [](const testing::TestParamInfo<unsigned> &Info) {
                            return "K" + std::to_string(Info.param);
                          });
+
+TEST(SharedLockWaitTest, EngineLockWaitIsMeasuredWithoutTelemetry) {
+  // Guest A installs a block whose install payload holds EngineMu for a
+  // while; guest B misses a different block only once A is inside the
+  // payload, so B's acquire must lose the fast try_lock and block.
+  std::atomic<bool> InsidePayload{false};
+  SharedEngineConfig Config;
+  Config.Engine = CacheEngineConfig(1 << 16, /*EnableChaining=*/true);
+  Config.OnInstallPayload = [&InsidePayload](const SuperblockRecord &) {
+    InsidePayload.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
+  SharedCacheEngine Engine(Config, makePolicy(GranularitySpec::units(8)),
+                           ShareMode::Concurrent);
+
+  SuperblockRecord Installed;
+  Installed.Id = 1;
+  Installed.SizeBytes = 64;
+  SuperblockRecord Missed;
+  Missed.Id = 2;
+  Missed.SizeBytes = 64;
+
+  std::thread A([&] { EXPECT_TRUE(Engine.install(Installed)); });
+  while (!InsidePayload.load())
+    std::this_thread::yield();
+  std::thread B([&] { EXPECT_EQ(Engine.access(Missed), AccessKind::Miss); });
+  A.join();
+  B.join();
+
+  const ContentionCounters C = Engine.contention();
+  EXPECT_GE(C.EngineLockStalls, 1u);
+  EXPECT_GE(C.EngineLockWaitMicros, 1000u);
+}

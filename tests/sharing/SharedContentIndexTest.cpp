@@ -134,37 +134,36 @@ TEST(SharedContentIndexTest, EngineLinksIdenticalContentInsteadOfCopying) {
 
 TEST(SharedContentIndexTest, EvictingRepresentativeDrainsEveryLink) {
   SharedContentIndex Idx;
-  CacheEngineConfig Config;
-  Config.CapacityBytes = 1 << 16;
-  Config.ContentIndex = &Idx;
-
-  struct Drain {
-    SuperblockId Representative;
-    std::vector<SharedContentIndex::Link> Links;
-  };
-  std::vector<Drain> Drains;
-  Config.OnUnshare = [&Drains](const UnshareEvent &Event) {
-    Drains.push_back({Event.Representative,
-                      {Event.Links.begin(), Event.Links.end()}});
-  };
-  CacheEngine E(Config, makePolicy(GranularitySpec::units(8)));
+  CacheEngine E = makeEngine(&Idx);
 
   EXPECT_EQ(E.access(srec(0, 256, 77, 0)), AccessKind::Miss);
   EXPECT_EQ(E.access(srec(1, 256, 77, 1)), AccessKind::SharedHit);
   EXPECT_EQ(E.access(srec(2, 256, 77, 2)), AccessKind::SharedHit);
   EXPECT_EQ(E.stats().SharedInstalls, 2u);
 
+  // Before the eviction the representative's live links are visible, in
+  // creation order; an alias is not a representative and has none.
+  const std::span<const SharedContentIndex::Link> Live = Idx.linksOf(0);
+  ASSERT_EQ(Live.size(), 2u);
+  EXPECT_EQ(Live[0].Tenant, 1u);
+  EXPECT_EQ(Live[0].Alias, 1u);
+  EXPECT_EQ(Live[1].Tenant, 2u);
+  EXPECT_EQ(Live[1].Alias, 2u);
+  EXPECT_TRUE(Idx.linksOf(1).empty());
+  const size_t Drained = Live.size();
+
   const double UnlinkBefore = E.stats().UnlinkOverhead;
   E.flushEntireCache();
 
-  // Both linking tenants lost their copy; each drain is an Eq. 4 unlink.
-  EXPECT_EQ(E.stats().UnshareUnlinks, 2u);
-  EXPECT_GT(E.stats().UnlinkOverhead, UnlinkBefore);
-  ASSERT_EQ(Drains.size(), 1u);
-  EXPECT_EQ(Drains[0].Representative, 0u);
-  ASSERT_EQ(Drains[0].Links.size(), 2u);
-  EXPECT_EQ(Drains[0].Links[0].Tenant, 1u);
-  EXPECT_EQ(Drains[0].Links[1].Tenant, 2u);
+  // Both linking tenants lost their copy; each drain is one Eq. 4
+  // single-link unlink (the records carry no edges, so nothing else is
+  // charged).
+  EXPECT_TRUE(Idx.linksOf(0).empty());
+  EXPECT_EQ(E.stats().UnshareUnlinks, Drained);
+  double Expected = UnlinkBefore;
+  for (size_t I = 0; I < Drained; ++I)
+    Expected += E.config().Costs.unlinkingOverhead(1);
+  EXPECT_EQ(E.stats().UnlinkOverhead, Expected);
   EXPECT_EQ(Idx.entryCount(), 0u);
   EXPECT_EQ(Idx.liveLinkCount(), 0u);
 }

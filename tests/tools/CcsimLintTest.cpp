@@ -210,8 +210,8 @@ TEST(LintFixtures, LegacyTenancyConfigClean) {
 }
 
 TEST(LintFixtures, LegacyTenancyConfigScopeAndAllowlist) {
-  // Production trees are all in scope; tests keep exercising the shim
-  // until it is deleted, and the shim's own definition is allowlisted.
+  // With the shim deleted nothing is exempt: every source tree, tests/
+  // and the simulator's own header included, is in scope.
   EXPECT_EQ(lintFixture("legacy_tenant_config.violate.cpp",
                         "examples/ccsim_cli.cpp")
                 .size(),
@@ -220,12 +220,14 @@ TEST(LintFixtures, LegacyTenancyConfigScopeAndAllowlist) {
                         "bench/multitenant_contention.cpp")
                 .size(),
             2u);
-  EXPECT_TRUE(lintFixture("legacy_tenant_config.violate.cpp",
-                          "tests/concurrent/MultiTenantTest.cpp")
-                  .empty());
-  EXPECT_TRUE(lintFixture("legacy_tenant_config.violate.cpp",
-                          "src/concurrent/MultiTenantSimulator.h")
-                  .empty());
+  EXPECT_EQ(lintFixture("legacy_tenant_config.violate.cpp",
+                        "tests/concurrent/MultiTenantTest.cpp")
+                .size(),
+            2u);
+  EXPECT_EQ(lintFixture("legacy_tenant_config.violate.cpp",
+                        "src/concurrent/MultiTenantSimulator.h")
+                .size(),
+            2u);
 }
 
 //===----------------------------------------------------------------------===//

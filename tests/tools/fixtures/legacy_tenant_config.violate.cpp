@@ -1,5 +1,5 @@
 // Fixture: tenancy.legacy-config must fire on every code mention of the
-// deprecated MultiTenantConfig bundle in the production trees.
+// removed MultiTenantConfig bundle in the source trees.
 // Never compiled; read as text by CcsimLintTest.
 #include "concurrent/MultiTenantSimulator.h"
 
