@@ -61,7 +61,6 @@
 #include "check/Paranoia.h"
 #include "concurrent/MultiTenantSimulator.h"
 #include "concurrent/SharedEngineRunner.h"
-#include "concurrent/ThreadPool.h"
 #include "isa/ProgramGenerator.h"
 #include "runtime/SystemProfiles.h"
 #include "runtime/Translator.h"
@@ -70,6 +69,7 @@
 #include "support/Flags.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "telemetry/Exporters.h"
 #include "trace/MappedTrace.h"
 #include "trace/TraceGenerator.h"
@@ -242,23 +242,6 @@ replayJobFromSimulateFlags(const FlagSet &Flags, std::string *Error) {
   return Job;
 }
 
-/// Restates a validated SimConfig as a shared-engine run config: the
-/// knobs the two layers share carry over with identical semantics, so
-/// `replay --guest-threads=K` means exactly what `replay` means plus the
-/// guest count.
-concurrent::SharedRunConfig sharedConfigFrom(const SimConfig &Config,
-                                             unsigned GuestThreads) {
-  concurrent::SharedRunConfig SC;
-  SC.GuestThreads = GuestThreads;
-  SC.PressureFactor = Config.PressureFactor;
-  SC.ExplicitCapacityBytes = Config.ExplicitCapacityBytes;
-  SC.Costs = Config.Costs;
-  SC.EnableChaining = Config.EnableChaining;
-  SC.Audit = Config.Audit;
-  SC.CancelCheckInterval = Config.CancelCheckInterval;
-  return SC;
-}
-
 /// Builds the job a `replay` line means: a plain ReplayJob by default, a
 /// SharedReplayJob when --guest-threads asks for more than one guest
 /// (the K=1 shared path is byte-identical, so the plain job keeps the
@@ -311,8 +294,8 @@ replayJobFromReplayFlags(const FlagSet &Flags, std::string *Error) {
   service::SharedReplayJob Job;
   Job.TraceData = std::move(T);
   Job.Spec = *Spec;
-  Job.Config =
-      sharedConfigFrom(*Config, static_cast<unsigned>(GuestThreads));
+  static_cast<SimConfig &>(Job.Config) = *Config;
+  Job.Config.GuestThreads = static_cast<unsigned>(GuestThreads);
   return service::Job(std::move(Job));
 }
 
@@ -712,18 +695,13 @@ int replayMapped(FlagSet &Flags) {
     return ExitUsage;
   }
   const auto Sink = makeSinkIfRequested(Flags);
-  concurrent::SharedRunConfig SC =
-      sharedConfigFrom(*Config, static_cast<unsigned>(GuestThreads));
+  concurrent::SharedRunConfig SC;
+  static_cast<SimConfig &>(SC) = *Config;
+  SC.GuestThreads = static_cast<unsigned>(GuestThreads);
   SC.Telemetry = Sink.get();
   const concurrent::SharedRunResult R =
       concurrent::runShared(*Mapped, *Spec, SC);
-  SimResult Sim;
-  Sim.BenchmarkName = R.BenchmarkName;
-  Sim.PolicyName = R.PolicyName;
-  Sim.CapacityBytes = R.CapacityBytes;
-  Sim.MaxCacheBytes = R.MaxCacheBytes;
-  Sim.Stats = R.Stats;
-  std::fputs(renderSimResult(Sim).c_str(), stdout);
+  std::fputs(renderSimResult(R).c_str(), stdout);
   return exportTelemetry(Flags, Sink.get()) == 0 ? ExitOk : ExitRuntime;
 }
 
@@ -918,8 +896,9 @@ int auditSharedRun(const FlagSet &Flags, const Trace &T,
       return ExitUsage;
     }
     size_t Violations = 0;
-    concurrent::SharedRunConfig SC =
-        sharedConfigFrom(Capacity, GuestThreads);
+    concurrent::SharedRunConfig SC;
+    static_cast<SimConfig &>(SC) = Capacity;
+    SC.GuestThreads = GuestThreads;
     SC.Audit = AuditLevel::Full;
     const int64_t Quiesce = Flags.getInt("quiesce-interval");
     SC.QuiesceInterval = Quiesce > 0 ? static_cast<uint64_t>(Quiesce) : 0;

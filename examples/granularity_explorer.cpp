@@ -9,13 +9,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "concurrent/ThreadPool.h"
 #include "multisweep/MultiConfigEngine.h"
 #include "sim/Simulator.h"
 #include "sim/Sweep.h"
 #include "support/Flags.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "trace/TraceGenerator.h"
 
 #include "SimFlags.h"

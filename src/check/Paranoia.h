@@ -35,6 +35,10 @@ class Translator;
 
 namespace ccsim::check {
 
+/// Receives an armed auditor's findings and the mutation site.
+using ViolationHandler =
+    std::function<void(const AuditReport &, const char *Where)>;
+
 /// How an armed auditor reacts to findings.
 struct ParanoiaOptions {
   /// Level installed on the manager. defaultAuditLevel() honors
@@ -47,7 +51,7 @@ struct ParanoiaOptions {
 
   /// Optional handler receiving the findings and the mutation site.
   /// When set it replaces the print-and-abort behavior.
-  std::function<void(const AuditReport &, const char *Where)> OnViolation;
+  ViolationHandler OnViolation;
 };
 
 /// Installs the deep auditor (CacheAuditor::auditManager after every

@@ -3,6 +3,7 @@
 #include "concurrent/MultiTenantSimulator.h"
 
 #include "check/Paranoia.h"
+#include "sim/Simulator.h"
 #include "support/Contracts.h"
 #include "support/Random.h"
 
@@ -112,17 +113,11 @@ MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
 }
 
 uint64_t MultiTenantSimulator::deriveTotalCapacity() const {
-  if (Policy.ExplicitCapacityBytes != 0)
-    return Policy.ExplicitCapacityBytes;
-  CCSIM_REQUIRE(Policy.PressureFactor >= 1.0,
-                "pressure factor %g below 1 would be an over-provisioned cache",
-                Policy.PressureFactor);
   uint64_t SuiteMaxCache = 0;
   for (const Trace &T : Traces)
     SuiteMaxCache += T.maxCacheBytes();
-  const double Derived =
-      static_cast<double>(SuiteMaxCache) / Policy.PressureFactor;
-  return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
+  return sim::capacityFor(SuiteMaxCache, Policy.PressureFactor,
+                          Policy.ExplicitCapacityBytes);
 }
 
 void MultiTenantSimulator::planPartitions() {

@@ -3,7 +3,7 @@
 #include "concurrent/SharedEngineRunner.h"
 
 #include "check/CacheAuditor.h"
-#include "check/Paranoia.h"
+#include "sim/SerialReplay.h"
 #include "support/Contracts.h"
 
 #include <algorithm>
@@ -16,42 +16,6 @@ using namespace ccsim;
 using namespace ccsim::concurrent;
 
 namespace {
-
-/// The two trace backends behind one replay loop. Both expose the same
-/// five calls; the owned view walks Trace::Accesses, the mapped view
-/// decodes straight out of the file mapping.
-struct OwnedTraceView {
-  const Trace &T;
-  const std::string &name() const { return T.Name; }
-  uint64_t maxCacheBytes() const { return T.maxCacheBytes(); }
-  size_t size() const { return T.Accesses.size(); }
-  SuperblockId idAt(size_t I) const { return T.Accesses[I]; }
-  SuperblockRecord recordFor(SuperblockId Id) const { return T.recordFor(Id); }
-};
-
-struct MappedTraceView {
-  const trace::MappedTrace &T;
-  const std::string &name() const { return T.name(); }
-  uint64_t maxCacheBytes() const { return T.maxCacheBytes(); }
-  size_t size() const { return T.numAccesses(); }
-  SuperblockId idAt(size_t I) const { return T.idAt(I); }
-  SuperblockRecord recordFor(SuperblockId Id) const { return T.recordFor(Id); }
-};
-
-/// Capacity = maxCache / pressure, same derivation (and same contract)
-/// as sim::capacityFor -- restated because this layer cannot link
-/// ccsim_sim.
-template <typename View>
-uint64_t capacityFor(const View &V, const SharedRunConfig &Config) {
-  if (Config.ExplicitCapacityBytes != 0)
-    return Config.ExplicitCapacityBytes;
-  CCSIM_REQUIRE(Config.PressureFactor >= 1.0,
-                "pressure factor %g below 1 would be an over-provisioned cache",
-                Config.PressureFactor);
-  const double Derived =
-      static_cast<double>(V.maxCacheBytes()) / Config.PressureFactor;
-  return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
-}
 
 /// Quiesces the engine and runs the full shared audit; mirrors the
 /// paranoid contract of check::armAuditor (print + abort) unless the
@@ -73,82 +37,6 @@ void runQuiesceAudit(SharedCacheEngine &Engine, const SharedRunConfig &Config,
   });
 }
 
-[[noreturn]] void throwCancelled(const std::string &Name, uint64_t DoneSoFar,
-                                 size_t N, const char *Reason,
-                                 const CancelToken &Cancel) {
-  throw ReplayCancelled("replay of " + Name + " stopped after " +
-                            std::to_string(DoneSoFar) + " of " +
-                            std::to_string(N) + " accesses: " + Reason,
-                        Cancel.deadlineExpired() && !Cancel.cancelRequested());
-}
-
-/// The serial path: one guest, Exact mode, byte-identical to sim::run --
-/// same access order, same telemetry marks ("sim:" label), same metric
-/// labels, and no contention publication.
-template <typename View>
-SharedRunResult runSerial(const View &V, std::unique_ptr<EvictionPolicy> Policy,
-                          const SharedRunConfig &Config) {
-  SharedRunResult Result;
-  Result.BenchmarkName = V.name();
-  Result.PolicyName = Policy->name();
-  Result.MaxCacheBytes = V.maxCacheBytes();
-  Result.CapacityBytes = capacityFor(V, Config);
-  Result.Mode = ShareMode::Exact;
-  Result.GuestThreads = 1;
-
-  SharedEngineConfig SC;
-  SC.Engine.CapacityBytes = Result.CapacityBytes;
-  SC.Engine.Costs = Config.Costs;
-  SC.Engine.EnableChaining = Config.EnableChaining;
-  SC.Engine.Telemetry = Config.Telemetry;
-  SC.Shards = Config.Shards;
-  SC.Fences = Config.Fences;
-
-  telemetry::TelemetrySink *Tel = Config.Telemetry;
-  uint32_t MarkId = 0;
-  if (Tel) {
-    MarkId = Tel->Tracer.internLabel("sim:" + Result.BenchmarkName + "/" +
-                                     Result.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-  }
-
-  SharedCacheEngine Engine(SC, std::move(Policy), ShareMode::Exact);
-  if (Config.Audit != AuditLevel::Off)
-    check::armAuditor(Engine.engineSetup(),
-                      check::ParanoiaOptions{Config.Audit, true,
-                                             Config.OnViolation});
-  const size_t N = V.size();
-  if (!Config.Cancel) {
-    for (size_t I = 0; I < N; ++I)
-      Engine.access(V.recordFor(V.idAt(I)));
-  } else {
-    const size_t Chunk = std::max<uint32_t>(1, Config.CancelCheckInterval);
-    size_t I = 0;
-    while (I < N) {
-      if (const char *Reason = Config.Cancel->stopReason())
-        throwCancelled(V.name(), I, N, Reason, *Config.Cancel);
-      const size_t End = std::min(N, I + Chunk);
-      for (; I < End; ++I)
-        Engine.access(V.recordFor(V.idAt(I)));
-    }
-  }
-
-  Result.Stats = Engine.stats();
-  Result.Contention = Engine.contention();
-  if (Tel) {
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Result.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g", Config.PressureFactor);
-    Result.Stats.recordMetrics(Tel->Metrics,
-                          {{"benchmark", Result.BenchmarkName},
-                           {"policy", Result.PolicyName},
-                           {"pressure", Pressure}});
-  }
-  return Result;
-}
-
 /// The K > 1 path: guests claim GrabBlock-sized runs of the access
 /// stream from a shared cursor. Structural validation happens at
 /// quiesce points (the guest that carries the global done-counter past
@@ -161,26 +49,15 @@ SharedRunResult runThreaded(const View &V,
   Result.BenchmarkName = V.name();
   Result.PolicyName = Policy->name();
   Result.MaxCacheBytes = V.maxCacheBytes();
-  Result.CapacityBytes = capacityFor(V, Config);
   Result.Mode = SharedCacheEngine::preferredMode(Config.GuestThreads, *Policy);
   Result.GuestThreads = Config.GuestThreads;
 
   SharedEngineConfig SC;
-  SC.Engine.CapacityBytes = Result.CapacityBytes;
-  SC.Engine.Costs = Config.Costs;
-  SC.Engine.EnableChaining = Config.EnableChaining;
-  SC.Engine.Telemetry = Config.Telemetry;
-  SC.Shards = Config.Shards;
-  SC.Fences = Config.Fences;
+  SC.Engine = sim::engineConfigFor(Result.MaxCacheBytes, Config);
+  Result.CapacityBytes = SC.Engine.CapacityBytes;
 
   telemetry::TelemetrySink *Tel = Config.Telemetry;
-  uint32_t MarkId = 0;
-  if (Tel) {
-    MarkId = Tel->Tracer.internLabel("shared:" + Result.BenchmarkName + "/" +
-                                     Result.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-  }
+  const uint32_t MarkId = sim::openRunMark(Tel, "shared", Result);
 
   SharedCacheEngine Engine(SC, std::move(Policy), Result.Mode);
 
@@ -212,8 +89,9 @@ SharedRunResult runThreaded(const View &V,
                   std::max<uint32_t>(1, Config.CancelCheckInterval)) {
             SincePoll = 0;
             if (const char *Reason = Config.Cancel->stopReason())
-              throwCancelled(V.name(), Done.load(std::memory_order_relaxed), N,
-                             Reason, *Config.Cancel);
+              sim::throwReplayCancelled(
+                  V.name(), Done.load(std::memory_order_relaxed), N, Reason,
+                  *Config.Cancel);
           }
           Engine.access(V.recordFor(V.idAt(I)));
         }
@@ -264,16 +142,10 @@ SharedRunResult runThreaded(const View &V,
   Result.Contention = Engine.contention();
   Result.QuiesceAudits = Audits.load();
   if (Tel) {
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Result.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g", Config.PressureFactor);
-    const telemetry::MetricLabels Labels = {
-        {"benchmark", Result.BenchmarkName},
-        {"policy", Result.PolicyName},
-        {"pressure", Pressure},
-        {"guest-threads", std::to_string(Result.GuestThreads)}};
-    Result.Stats.recordMetrics(Tel->Metrics, Labels);
+    telemetry::MetricLabels Labels =
+        sim::runLabels(Result, Config.PressureFactor);
+    Labels.emplace_back("guest-threads", std::to_string(Result.GuestThreads));
+    sim::recordRun(*Tel, MarkId, Result, Labels);
     Engine.publishContention(Tel->Metrics, Labels);
     Tel->Tracer.record(telemetry::EventKind::Contention, Result.GuestThreads,
                        telemetry::NoBlock, MarkId,
@@ -283,14 +155,21 @@ SharedRunResult runThreaded(const View &V,
   return Result;
 }
 
+/// K = 1 is the serial replay loop over the shared engine in Exact mode:
+/// same access order, same telemetry marks ("sim:" label), same metric
+/// labels, and no contention publication.
 template <typename View>
 SharedRunResult runSharedImpl(const View &V, const GranularitySpec &Spec,
                               const SharedRunConfig &Config) {
   CCSIM_REQUIRE(Config.GuestThreads >= 1, "at least one guest thread");
   std::unique_ptr<EvictionPolicy> Policy = makePolicy(Spec);
-  if (Config.GuestThreads == 1)
-    return runSerial(V, std::move(Policy), Config);
-  return runThreaded(V, std::move(Policy), Config);
+  if (Config.GuestThreads > 1)
+    return runThreaded(V, std::move(Policy), Config);
+  SharedRunResult Result;
+  static_cast<SimResult &>(Result) = sim::replaySerial<SharedCacheEngine>(
+      V, std::move(Policy), Config, Config.OnViolation,
+      [&](SharedCacheEngine &E) { Result.Contention = E.contention(); });
+  return Result;
 }
 
 } // namespace
@@ -298,11 +177,11 @@ SharedRunResult runSharedImpl(const View &V, const GranularitySpec &Spec,
 SharedRunResult concurrent::runShared(const Trace &T,
                                       const GranularitySpec &Spec,
                                       const SharedRunConfig &Config) {
-  return runSharedImpl(OwnedTraceView{T}, Spec, Config);
+  return runSharedImpl(sim::OwnedTraceView{T}, Spec, Config);
 }
 
 SharedRunResult concurrent::runShared(const trace::MappedTrace &T,
                                       const GranularitySpec &Spec,
                                       const SharedRunConfig &Config) {
-  return runSharedImpl(MappedTraceView{T}, Spec, Config);
+  return runSharedImpl(sim::MappedTraceView{T}, Spec, Config);
 }

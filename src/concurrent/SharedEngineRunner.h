@@ -21,56 +21,33 @@
 ///           Metrics are labeled with the guest count to keep them apart
 ///           from serial exports.
 ///
-/// This layer deliberately does not depend on ccsim_sim (which layers
-/// above ccsim_concurrent); the few shared knobs (pressure, costs,
-/// cancellation cadence) are restated here with identical semantics and
-/// defaults.
+/// The run config extends SimConfig, so pressure, costs, telemetry,
+/// audit and cancellation mean exactly what they mean to sim::run, and
+/// the K = 1 path is the serial replay loop of sim/SerialReplay.h run
+/// over the shared engine.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_CONCURRENT_SHAREDENGINERUNNER_H
 #define CCSIM_CONCURRENT_SHAREDENGINERUNNER_H
 
-#include "check/AuditReport.h"
+#include "check/Paranoia.h"
 #include "core/SharedCacheEngine.h"
-#include "support/Cancellation.h"
+#include "sim/Simulator.h"
 #include "trace/MappedTrace.h"
-#include "trace/Trace.h"
-
-#include <functional>
-#include <string>
 
 namespace ccsim::concurrent {
 
-/// Configuration of one shared-engine replay.
-struct SharedRunConfig {
+/// Configuration of one shared-engine replay: a SimConfig plus the guest
+/// knobs. Audit at K = 1 arms check::armAuditor exactly like sim::run; at
+/// K > 1 any level other than Off runs the full auditSharedEngine rule
+/// set at every quiesce point and once at the end of the run.
+/// Cancellation is polled every CancelCheckInterval accesses (per guest
+/// for K > 1) and throws ReplayCancelled like the serial path.
+struct SharedRunConfig : SimConfig {
   /// Guest threads sharing the engine. 1 selects the byte-identical
   /// serial path.
   unsigned GuestThreads = 1;
-
-  /// Cache capacity = trace maxCache / PressureFactor (the paper's
-  /// pressure axis), unless ExplicitCapacityBytes overrides it.
-  double PressureFactor = 8.0;
-  uint64_t ExplicitCapacityBytes = 0;
-
-  CostModel Costs = CostModel::paperDefaults();
-  bool EnableChaining = true;
-  telemetry::TelemetrySink *Telemetry = nullptr;
-
-  /// K = 1: forwarded to check::armAuditor, exactly like the serial
-  /// simulator. K > 1: any level other than Off runs the full
-  /// auditSharedEngine rule set at every quiesce point and once at the
-  /// end of the run.
-  AuditLevel Audit = defaultAuditLevel();
-
-  /// Cooperative cancellation, polled every CancelCheckInterval accesses
-  /// (per guest for K > 1). Throws ReplayCancelled like the serial path.
-  CancelToken *Cancel = nullptr;
-  uint32_t CancelCheckInterval = 1024;
-
-  /// Sharding / fencing geometry of the engine.
-  unsigned Shards = 16;
-  unsigned Fences = 16;
 
   /// K > 1: accesses between quiesce-point audits (0 = only the final
   /// one). The guest that crosses the threshold runs the audit.
@@ -81,18 +58,12 @@ struct SharedRunConfig {
 
   /// Receives non-clean audit reports; default prints and aborts (the
   /// paranoid contract). Tests install a collector.
-  std::function<void(const check::AuditReport &, const char *Where)>
-      OnViolation;
+  check::ViolationHandler OnViolation;
 };
 
 /// Outcome of a shared replay. Stats match the serial simulator exactly
 /// for K = 1; for K > 1 they satisfy the conservation identities.
-struct SharedRunResult {
-  std::string BenchmarkName;
-  std::string PolicyName;
-  uint64_t CapacityBytes = 0;
-  uint64_t MaxCacheBytes = 0;
-  CacheStats Stats;
+struct SharedRunResult : SimResult {
   ShareMode Mode = ShareMode::Exact;
   unsigned GuestThreads = 1;
   ContentionCounters Contention;

@@ -1,6 +1,7 @@
 //===- concurrent/TenancyPolicy.cpp - Unified tenancy configuration ------===//
 
 #include "concurrent/TenancyPolicy.h"
+#include "sim/Simulator.h"
 
 #include <cstdio>
 
@@ -42,14 +43,10 @@ const char *ccsim::interleaveKindLabel(InterleaveKind Kind) {
 }
 
 std::string TenancyPolicy::validate() const {
-  if (ExplicitCapacityBytes == 0 && PressureFactor < 1.0) {
-    char Buf[128];
-    std::snprintf(Buf, sizeof(Buf),
-                  "pressure factor %g below 1 would be an over-provisioned "
-                  "cache (set an explicit capacity instead)",
-                  PressureFactor);
-    return Buf;
-  }
+  std::string Err = sim::validateCapacityAndCosts(
+      PressureFactor, ExplicitCapacityBytes, Costs);
+  if (!Err.empty())
+    return Err;
   if (Granularity.Kind == GranularitySpec::KindType::Units &&
       Granularity.Units < 1)
     return "unit granularity needs at least one unit";
@@ -61,10 +58,6 @@ std::string TenancyPolicy::validate() const {
                     Tenants[I].Weight);
       return Buf;
     }
-  if (Costs.EvictionPerByte < 0.0 || Costs.MissPerByte < 0.0 ||
-      Costs.UnlinkPerLink < 0.0 || Costs.EvictionBase < 0.0 ||
-      Costs.MissBase < 0.0 || Costs.UnlinkBase < 0.0)
-    return "cost model coefficients must be nonnegative";
   return {};
 }
 

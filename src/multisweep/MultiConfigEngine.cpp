@@ -3,8 +3,9 @@
 #include "multisweep/MultiConfigEngine.h"
 
 #include "check/CacheAuditor.h"
-#include "concurrent/ThreadPool.h"
+#include "sim/SerialReplay.h"
 #include "support/Contracts.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
@@ -125,10 +126,7 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
     if (Plan.Points[J].Kind != LatticePlan::Route::Shared)
       continue;
     const SweepJob &Job = Jobs[J];
-    CacheEngineConfig EC;
-    EC.CapacityBytes = sim::capacityFor(T, Job.Config);
-    EC.Costs = Job.Config.Costs;
-    EC.EnableChaining = Job.Config.EnableChaining;
+    CacheEngineConfig EC = sim::engineConfigFor(T.maxCacheBytes(), Job.Config);
     // No per-engine telemetry: a shared engine replicates the metrics
     // recording at settle time instead of emitting per-access events.
     // No payload hooks either — the miss path reads lastEvictions() to
@@ -234,20 +232,9 @@ void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
   // Metrics-fidelity telemetry: the same Mark pair and per-benchmark
   // CacheStats recording sim::run emits, minus the per-access event
   // stream (which only per-config replay can produce).
-  if (telemetry::TelemetrySink *Tel = Job.Config.Telemetry) {
-    const uint32_t MarkId = Tel->Tracer.internLabel(
-        "sim:" + Out.BenchmarkName + "/" + Out.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Out.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g",
-                  Job.Config.PressureFactor);
-    Out.Stats.recordMetrics(Tel->Metrics, {{"benchmark", Out.BenchmarkName},
-                                      {"policy", Out.PolicyName},
-                                      {"pressure", Pressure}});
-  }
+  if (telemetry::TelemetrySink *Tel = Job.Config.Telemetry)
+    sim::recordRun(*Tel, sim::openRunMark(Tel, "sim", Out), Out,
+                   sim::runLabels(Out, Job.Config.PressureFactor));
 }
 
 std::vector<SimResult> MultiConfigEngine::run() {

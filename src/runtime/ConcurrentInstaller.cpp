@@ -57,8 +57,6 @@ InstallerReport ccsim::runConcurrentInstall(const InstallerConfig &Config) {
   SC.Engine.CapacityBytes = Config.CapacityBytes;
   SC.Engine.EnableChaining = Config.EnableChaining;
   SC.Engine.Telemetry = Config.Telemetry;
-  SC.Shards = Config.Shards;
-  SC.Fences = Config.Fences;
   SC.OnInstallPayload = [&](const SuperblockRecord &Rec) {
     MutexLock Lock(DispatchMu);
     Dispatch.insert(Rec.Id, static_cast<int32_t>(Rec.Id));

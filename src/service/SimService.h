@@ -32,8 +32,8 @@
 #ifndef CCSIM_SERVICE_SIMSERVICE_H
 #define CCSIM_SERVICE_SIMSERVICE_H
 
-#include "concurrent/ThreadPool.h"
 #include "service/Job.h"
+#include "support/ThreadPool.h"
 #include "support/ThreadSafety.h"
 #include "telemetry/Telemetry.h"
 

@@ -108,6 +108,19 @@ struct SimResult {
 /// Stateless driver functions.
 namespace sim {
 
+/// The checks every replay front door shares: a finite pressure factor,
+/// at least 1 unless \p ExplicitCapacityBytes overrides it, and finite,
+/// nonnegative cost coefficients. Empty when usable, else the error.
+std::string validateCapacityAndCosts(double PressureFactor,
+                                     uint64_t ExplicitCapacityBytes,
+                                     const CostModel &Costs);
+
+/// Capacity of a cache for a workload whose unbounded cache reaches
+/// \p MaxCacheBytes: \p ExplicitCapacityBytes when nonzero, else
+/// maxCache / \p PressureFactor (at least one byte).
+uint64_t capacityFor(uint64_t MaxCacheBytes, double PressureFactor,
+                     uint64_t ExplicitCapacityBytes);
+
 /// Derives the cache capacity for \p T under \p Config.
 uint64_t capacityFor(const Trace &T, const SimConfig &Config);
 

@@ -2,7 +2,7 @@
 
 #include "sim/Sweep.h"
 
-#include "concurrent/ThreadPool.h"
+#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <cstdio>

@@ -1,6 +1,6 @@
-//===- concurrent/ThreadPool.cpp - Fixed worker pool + parallel-for -------===//
+//===- support/ThreadPool.cpp - Fixed worker pool + parallel-for ----------===//
 
-#include "concurrent/ThreadPool.h"
+#include "support/ThreadPool.h"
 #include "support/Contracts.h"
 
 #include <algorithm>

@@ -1,4 +1,4 @@
-//===- concurrent/ThreadPool.h - Fixed worker pool + parallel-for ---------===//
+//===- support/ThreadPool.h - Fixed worker pool + parallel-for ------------===//
 //
 // Part of the ccsim project (CGO 2004 code cache eviction reproduction).
 //
@@ -26,8 +26,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CCSIM_CONCURRENT_THREADPOOL_H
-#define CCSIM_CONCURRENT_THREADPOOL_H
+#ifndef CCSIM_SUPPORT_THREADPOOL_H
+#define CCSIM_SUPPORT_THREADPOOL_H
 
 #include "support/ThreadSafety.h"
 
@@ -102,4 +102,4 @@ void parallelFor(unsigned NumThreads, size_t N,
 
 } // namespace ccsim
 
-#endif // CCSIM_CONCURRENT_THREADPOOL_H
+#endif // CCSIM_SUPPORT_THREADPOOL_H

@@ -1,6 +1,6 @@
 //===- tests/concurrent/ThreadPoolTest.cpp - Worker pool tests ------------===//
 
-#include "concurrent/ThreadPool.h"
+#include "support/ThreadPool.h"
 
 #include "gtest/gtest.h"
 

@@ -1,4 +1,4 @@
-//===- tests/core/CacheManagerTest.cpp - Cache manager tests ---------------===//
+//===- tests/core/CacheEngineAccountingTest.cpp - Engine accounting tests -===//
 
 #include "core/CacheEngine.h"
 

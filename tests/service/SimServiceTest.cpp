@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -530,4 +531,61 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   EXPECT_NE(Tenants.validate().find("weight"), std::string::npos);
   Tenants.Tenants[1].Weight = 2.0;
   EXPECT_TRUE(Tenants.validate().empty());
+}
+
+TEST(SimServiceTest, NonFinitePressureAndCostsAreRejected) {
+  // NaN compares false against every bound, so a range check alone lets
+  // it through to the capacity contract (an abort) or into the overhead
+  // totals (a "nan instructions" report).
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  CostModel NanCost;
+  NanCost.MissBase = NaN;
+  CostModel InfCost;
+  InfCost.UnlinkPerLink = Inf;
+
+  for (double Pressure : {NaN, Inf}) {
+    SCOPED_TRACE(Pressure);
+    concurrent::SharedRunConfig Shared;
+    Shared.GuestThreads = 2;
+    Shared.PressureFactor = Pressure;
+    // An explicit capacity does not excuse a pressure that is not a
+    // number: it still labels every metric the run records.
+    for (const std::string &Err :
+         {SimConfig().withPressure(Pressure).validate(),
+          SimConfig().withPressure(Pressure).withCapacityBytes(1).validate(),
+          TenancyPolicy().withPressure(Pressure).validate(),
+          Shared.validate()})
+      EXPECT_NE(Err.find("pressure factor"), std::string::npos) << Err;
+  }
+  for (const CostModel &Costs : {NanCost, InfCost}) {
+    concurrent::SharedRunConfig Shared;
+    Shared.PressureFactor = 4.0;
+    Shared.Costs = Costs;
+    for (const std::string &Err :
+         {SimConfig().withPressure(4.0).withCosts(Costs).validate(),
+          TenancyPolicy().withPressure(4.0).withCosts(Costs).validate(),
+          Shared.validate()})
+      EXPECT_NE(Err.find("cost model"), std::string::npos) << Err;
+  }
+}
+
+TEST(SimServiceTest, NanPressureJobsFailWithoutAborting) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  ReplayJob R;
+  R.TraceData = syntheticTrace(4, 100);
+  R.Config.PressureFactor = NaN;
+  const JobOutcome O = executeJob(Job(std::move(R)), nullptr);
+  EXPECT_EQ(O.Status, JobStatus::Failed);
+  EXPECT_NE(O.Error.find("pressure factor"), std::string::npos) << O.Error;
+  EXPECT_TRUE(O.Replay.empty());
+
+  SharedReplayJob SR;
+  SR.TraceData = syntheticTrace(4, 100);
+  SR.Config.GuestThreads = 2;
+  SR.Config.PressureFactor = NaN;
+  const JobOutcome SO = executeJob(Job(std::move(SR)), nullptr);
+  EXPECT_EQ(SO.Status, JobStatus::Failed);
+  EXPECT_NE(SO.Error.find("pressure factor"), std::string::npos) << SO.Error;
+  EXPECT_TRUE(SO.Replay.empty());
 }

@@ -182,6 +182,15 @@ TEST(LintFixtures, EngineRawMutexScopedToEngineTrees) {
   EXPECT_TRUE(
       lintFixture("engine_raw_mutex.violate.cpp", "tests/core/f.cpp")
           .empty());
+  // The worker pool lives in support/ but keeps the engine's locking
+  // discipline; the rest of support/ stays out of scope.
+  EXPECT_EQ(lintFixture("engine_raw_mutex.violate.cpp",
+                        "src/support/ThreadPool.h")
+                .size(),
+            3u);
+  EXPECT_TRUE(lintFixture("engine_raw_mutex.violate.cpp",
+                          "src/support/Histogram.cpp")
+                  .empty());
 }
 
 TEST(LintFixtures, SwallowedCatchViolates) {
@@ -197,7 +206,7 @@ TEST(LintFixtures, SwallowedCatchClean) {
 
 TEST(LintFixtures, LegacyTenancyConfigViolates) {
   const auto Vs =
-      lintFixture("legacy_tenant_config.violate.cpp", "src/sim/f.cpp");
+      lintFixture("legacy_tenant_config.violate.cpp", "src/service/f.cpp");
   ASSERT_EQ(Vs.size(), 2u); // Return type and local declaration.
   EXPECT_EQ(Vs[0].RuleId, "tenancy.legacy-config");
   EXPECT_EQ(Vs[1].RuleId, "tenancy.legacy-config");
@@ -205,7 +214,7 @@ TEST(LintFixtures, LegacyTenancyConfigViolates) {
 
 TEST(LintFixtures, LegacyTenancyConfigClean) {
   EXPECT_TRUE(
-      lintFixture("legacy_tenant_config.clean.cpp", "src/sim/f.cpp")
+      lintFixture("legacy_tenant_config.clean.cpp", "src/service/f.cpp")
           .empty());
 }
 
@@ -228,6 +237,28 @@ TEST(LintFixtures, LegacyTenancyConfigScopeAndAllowlist) {
                         "src/concurrent/MultiTenantSimulator.h")
                 .size(),
             2u);
+}
+
+TEST(LintFixtures, SimLayeringViolates) {
+  const auto Vs = lintFixture("sim_layering.violate.cpp", "src/sim/f.cpp");
+  ASSERT_EQ(Vs.size(), 2u); // Quoted and angle-bracket spellings.
+  for (const Violation &V : Vs)
+    EXPECT_EQ(V.RuleId, "layering.sim-includes-concurrent");
+  EXPECT_EQ(Vs[0].Message, "src/sim includes concurrent/ThreadPool.h");
+  EXPECT_EQ(Vs[1].Line, 6u);
+}
+
+TEST(LintFixtures, SimLayeringClean) {
+  EXPECT_TRUE(
+      lintFixture("sim_layering.clean.cpp", "src/sim/f.cpp").empty());
+}
+
+TEST(LintFixtures, SimLayeringScopedToSim) {
+  // Every layer above sim may include concurrent/ headers.
+  for (const char *Path : {"src/concurrent/f.cpp", "src/service/f.cpp",
+                           "examples/f.cpp", "tests/sim/f.cpp"})
+    EXPECT_TRUE(lintFixture("sim_layering.violate.cpp", Path).empty())
+        << Path;
 }
 
 //===----------------------------------------------------------------------===//

@@ -37,6 +37,11 @@ const std::vector<Rule> &ccsim::lint::ruleCatalog() {
        "worker swallowing failures turns them into silent wrong results",
        "capture std::current_exception() for the controller thread, "
        "rethrow, or narrow the catch to the types you can handle"},
+      {"layering.sim-includes-concurrent",
+       "src/sim includes a concurrent/ header; the layers run support <- "
+       "core <- trace <- sim <- concurrent, and concurrent links sim",
+       "move the shared piece down into sim/ or support/, or call it from "
+       "the concurrent layer instead"},
       {"lint.suppression-without-reason",
        "ccsim-lint allow() comment with no reason text",
        "append '-- <why this is sound>' to the suppression comment"},
@@ -44,9 +49,10 @@ const std::vector<Rule> &ccsim::lint::ruleCatalog() {
        "ccsim-lint allow() comment naming a rule id that does not exist",
        "use an id from ccsim_lint --list-rules"},
       {"locking.engine-raw-mutex",
-       "raw std:: mutex type in src/core or src/concurrent; locks in the "
-       "thread-shared engine must be the annotated ccsim wrappers so the "
-       "Clang thread-safety analysis sees every acquisition",
+       "raw std:: mutex type in src/core, src/concurrent or "
+       "support/ThreadPool; locks in the thread-shared engine and the "
+       "worker pool must be the annotated ccsim wrappers so the Clang "
+       "thread-safety analysis sees every acquisition",
        "declare ccsim::Mutex / ccsim::SharedMutex from "
        "support/ThreadSafety.h instead of the std:: type"},
       {"locking.naked-lock",
@@ -598,16 +604,18 @@ void checkUnorderedIteration(const std::string &Path,
 }
 
 /// locking.engine-raw-mutex — raw std:: mutex types inside the
-/// thread-shared engine trees (src/core, src/concurrent), where every
-/// lock must be one of the annotated ccsim wrappers. Only the std::
-/// spelling is banned; the wrappers themselves (and <mutex> includes)
-/// never match.
+/// thread-shared engine trees (src/core, src/concurrent) and the worker
+/// pool (src/support/ThreadPool), where every lock must be one of the
+/// annotated ccsim wrappers. Only the std:: spelling is banned; the
+/// wrappers themselves (and <mutex> includes) never match.
 void checkEngineRawMutex(const std::string &Path,
                          const std::string &NormPath,
                          const std::string &Code, const LineIndex &Lines,
                          std::vector<Violation> &Out) {
-  const bool InScope = NormPath.find("src/core/") != std::string::npos ||
-                       NormPath.find("src/concurrent/") != std::string::npos;
+  const bool InScope =
+      NormPath.find("src/core/") != std::string::npos ||
+      NormPath.find("src/concurrent/") != std::string::npos ||
+      NormPath.find("src/support/ThreadPool.") != std::string::npos;
   if (!InScope)
     return;
   static const char *Types[] = {"mutex", "shared_mutex", "recursive_mutex",
@@ -691,6 +699,36 @@ void checkSwallowedCatchAll(const std::string &Path,
   }
 }
 
+/// layering.sim-includes-concurrent — an #include of a concurrent/ header
+/// from a file under src/sim. The header name is a literal, blanked in
+/// the code view, so it is read back from \p Text at the same offset; the
+/// '#' must survive in the code view, so commented-out includes never
+/// match.
+void checkSimLayering(const std::string &Path, const std::string &NormPath,
+                      const std::string &Text, const std::string &Code,
+                      const LineIndex &Lines, std::vector<Violation> &Out) {
+  if (NormPath.find("src/sim/") == std::string::npos)
+    return;
+  static const std::string Banned = "concurrent/";
+  for (size_t Pos : tokenOffsets(Code, "include")) {
+    size_t Hash = Pos;
+    while (Hash > 0 && (Code[Hash - 1] == ' ' || Code[Hash - 1] == '\t'))
+      --Hash;
+    if (Hash == 0 || Code[Hash - 1] != '#')
+      continue;
+    const size_t Open = skipSpaces(Text, Pos + std::strlen("include"));
+    if (Open >= Text.size() || (Text[Open] != '"' && Text[Open] != '<'))
+      continue;
+    if (Text.compare(Open + 1, Banned.size(), Banned) != 0)
+      continue;
+    const size_t Close = Text.find_first_of("\">\n", Open + 1);
+    addViolation(Out, Path, Lines.lineOf(Pos),
+                 "layering.sim-includes-concurrent",
+                 "src/sim includes " +
+                     Text.substr(Open + 1, Close - Open - 1));
+  }
+}
+
 /// tenancy.legacy-config — any code mention of the removed
 /// MultiTenantConfig bundle in src/, examples/, bench/, or tests/.
 void checkLegacyTenancyConfig(const std::string &Path,
@@ -728,6 +766,7 @@ std::vector<Violation> ccsim::lint::lintSource(const std::string &Path,
   checkNakedLock(Path, NormPath, View.Code, Lines, Raw);
   checkSwallowedCatchAll(Path, NormPath, View.Code, Lines, Raw);
   checkLegacyTenancyConfig(Path, NormPath, View.Code, Lines, Raw);
+  checkSimLayering(Path, NormPath, Text, View.Code, Lines, Raw);
 
   std::vector<Violation> Out;
   for (Violation &V : Raw) {

@@ -22,8 +22,11 @@
 ///                                    deadline machinery allowlist
 ///   contracts.raw-assert             no raw assert(); use CCSIM_ASSERT /
 ///                                    CCSIM_REQUIRE (support/Contracts.h)
+///   layering.sim-includes-concurrent no concurrent/ includes under
+///                                    src/sim; sim layers below concurrent
 ///   locking.engine-raw-mutex         no raw std:: mutex types in
-///                                    src/core or src/concurrent; use the
+///                                    src/core, src/concurrent or
+///                                    support/ThreadPool; use the
 ///                                    annotated ccsim::Mutex wrappers
 ///   locking.naked-lock               no manual mutex .lock()/.unlock();
 ///                                    use ccsim::MutexLock RAII
