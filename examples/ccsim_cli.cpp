@@ -87,6 +87,7 @@
 #include <optional>
 #include <sstream>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 using namespace ccsim;
@@ -216,6 +217,111 @@ std::string renderOutcome(const service::JobOutcome &O) {
 }
 
 //===----------------------------------------------------------------------===//
+// Replay inputs, shared by `replay` (plain and --mmap), `audit` and the
+// batch manifest's replay lines: one trace loader, one policy error, one
+// --guest-threads check.
+//===----------------------------------------------------------------------===//
+
+/// A replay arm's trace: a read-only mapping (replay --mmap streams
+/// straight out of it) or an owned Trace.
+using TraceSource = std::variant<Trace, trace::MappedTrace>;
+
+/// The one trace loader. A positional .cct is mapped with --mmap and
+/// read through the buffered reader otherwise; without one, the workload
+/// flags generate the trace. On failure returns nullopt with \p Error
+/// set and \p Exit the exit code (an unreadable file is a runtime
+/// failure, anything else a usage error).
+std::optional<TraceSource> loadTrace(const FlagSet &Flags,
+                                     std::string *Error, int *Exit) {
+  *Exit = ExitUsage;
+  if (Flags.positional().empty()) {
+    auto Generated = workloadTraceFromFlags(Flags, Error);
+    if (!Generated)
+      return std::nullopt;
+    return TraceSource(std::move(*Generated));
+  }
+  const std::string &Path = Flags.positional().front();
+  std::optional<TraceSource> Source;
+  if (Flags.getBool("mmap")) {
+    if (auto Mapped = trace::MappedTrace::open(Path))
+      Source.emplace(std::move(*Mapped));
+  } else if (auto Loaded = readTrace(Path)) {
+    Source.emplace(std::move(*Loaded));
+  }
+  if (!Source) {
+    *Error = "cannot read " + Path;
+    *Exit = ExitRuntime;
+  }
+  return Source;
+}
+
+/// The owned form of \p Source: a mapping is copied out.
+Trace ownedTrace(TraceSource &&Source) {
+  if (const auto *Mapped = std::get_if<trace::MappedTrace>(&Source))
+    return Mapped->toTrace();
+  return std::move(std::get<Trace>(Source));
+}
+
+/// Strict policy parse with the one "bad policy" error.
+std::optional<GranularitySpec> policyFromText(const std::string &Text,
+                                              std::string *Error) {
+  const auto Spec = parsePolicySpec(Text);
+  if (!Spec)
+    *Error = "bad policy '" + Text + "' (flush | fine | <unit count>)";
+  return Spec;
+}
+
+/// The validated SimConfig flags plus the one --guest-threads check.
+std::optional<concurrent::SharedRunConfig>
+runConfigFromFlags(const FlagSet &Flags, std::string *Error) {
+  const auto Config = simConfigFromFlags(Flags, Error);
+  if (!Config)
+    return std::nullopt;
+  const int64_t GuestThreads = Flags.getInt("guest-threads");
+  if (GuestThreads < 1) {
+    *Error = "bad guest-threads " + std::to_string(GuestThreads) +
+             " (need >= 1)";
+    return std::nullopt;
+  }
+  concurrent::SharedRunConfig RC;
+  static_cast<SimConfig &>(RC) = *Config;
+  RC.GuestThreads = static_cast<unsigned>(GuestThreads);
+  return RC;
+}
+
+/// Everything a `replay` line means: its trace, policy and run config.
+struct ReplayRequest {
+  TraceSource Source;
+  GranularitySpec Spec;
+  concurrent::SharedRunConfig Config;
+
+  /// The job this request means; jobs own their trace.
+  service::ReplayJob toJob() && {
+    return {ownedTrace(std::move(Source)), Spec, Config,
+            Config.GuestThreads};
+  }
+};
+
+std::optional<ReplayRequest>
+replayRequestFromFlags(const FlagSet &Flags, std::string *Error, int *Exit) {
+  *Exit = ExitUsage;
+  if (Flags.positional().empty()) {
+    *Error = "replay needs a trace file: replay <file.cct> [flags]";
+    return std::nullopt;
+  }
+  auto Source = loadTrace(Flags, Error, Exit);
+  if (!Source)
+    return std::nullopt;
+  const auto Spec = policyFromText(Flags.getString("policy"), Error);
+  if (!Spec)
+    return std::nullopt;
+  const auto Config = runConfigFromFlags(Flags, Error);
+  if (!Config)
+    return std::nullopt;
+  return ReplayRequest{std::move(*Source), *Spec, *Config};
+}
+
+//===----------------------------------------------------------------------===//
 // Job builders, shared between the serial subcommands and the batch
 // manifest parser. Each consumes the same FlagSet its subcommand declares,
 // so a manifest line means exactly what the equivalent command line means.
@@ -226,12 +332,9 @@ replayJobFromSimulateFlags(const FlagSet &Flags, std::string *Error) {
   auto T = workloadTraceFromFlags(Flags, Error);
   if (!T)
     return std::nullopt;
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    *Error = "bad policy '" + Flags.getString("policy") +
-             "' (flush | fine | <unit count>)";
+  const auto Spec = policyFromText(Flags.getString("policy"), Error);
+  if (!Spec)
     return std::nullopt;
-  }
   const auto Config = simConfigFromFlags(Flags, Error);
   if (!Config)
     return std::nullopt;
@@ -242,61 +345,16 @@ replayJobFromSimulateFlags(const FlagSet &Flags, std::string *Error) {
   return Job;
 }
 
-/// Builds the job a `replay` line means: a plain ReplayJob by default, a
-/// SharedReplayJob when --guest-threads asks for more than one guest
-/// (the K=1 shared path is byte-identical, so the plain job keeps the
-/// default path unchanged). --mmap maps the trace instead of streaming
-/// it through the buffered reader; jobs own their trace either way.
-std::optional<service::Job>
+/// Builds the job a `replay` line means. --mmap maps the trace instead
+/// of streaming it through the buffered reader; jobs own their trace
+/// either way.
+std::optional<service::ReplayJob>
 replayJobFromReplayFlags(const FlagSet &Flags, std::string *Error) {
-  if (Flags.positional().empty()) {
-    *Error = "replay needs a trace file: replay <file.cct> [flags]";
+  int Exit = ExitUsage; // A manifest line fails as a usage error anyway.
+  auto R = replayRequestFromFlags(Flags, Error, &Exit);
+  if (!R)
     return std::nullopt;
-  }
-  Trace T;
-  if (Flags.getBool("mmap")) {
-    auto Mapped = trace::MappedTrace::open(Flags.positional().front());
-    if (!Mapped) {
-      *Error = "cannot read " + Flags.positional().front();
-      return std::nullopt;
-    }
-    T = Mapped->toTrace();
-  } else {
-    const auto Loaded = readTrace(Flags.positional().front());
-    if (!Loaded) {
-      *Error = "cannot read " + Flags.positional().front();
-      return std::nullopt;
-    }
-    T = *Loaded;
-  }
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    *Error = "bad policy '" + Flags.getString("policy") +
-             "' (flush | fine | <unit count>)";
-    return std::nullopt;
-  }
-  const auto Config = simConfigFromFlags(Flags, Error);
-  if (!Config)
-    return std::nullopt;
-  const int64_t GuestThreads = Flags.getInt("guest-threads");
-  if (GuestThreads < 1) {
-    *Error = "bad guest-threads " + std::to_string(GuestThreads) +
-             " (need >= 1)";
-    return std::nullopt;
-  }
-  if (GuestThreads == 1) {
-    service::ReplayJob Job;
-    Job.TraceData = std::move(T);
-    Job.Spec = *Spec;
-    Job.Config = *Config;
-    return service::Job(std::move(Job));
-  }
-  service::SharedReplayJob Job;
-  Job.TraceData = std::move(T);
-  Job.Spec = *Spec;
-  static_cast<SimConfig &>(Job.Config) = *Config;
-  Job.Config.GuestThreads = static_cast<unsigned>(GuestThreads);
-  return service::Job(std::move(Job));
+  return std::move(*R).toJob();
 }
 
 /// Suite engines are expensive (trace generation for the whole Table 1
@@ -551,9 +609,9 @@ FlagSet makeAuditFlags() {
   Flags.addInt("iterations", 600, "Main loop trip count (--dbt).");
   Flags.addInt("cache-kb", 2, "Code cache size in KB (--dbt).");
   Flags.addInt("guest-threads", 1,
-               "Audit the thread-shared engine under this many "
-               "concurrent guests instead of the serial manager (trace "
-               "mode only).");
+               "Guest threads sharing the audited engine (1 = serial "
+               "replay audited after every mutation; >1 = audited at "
+               "quiesce points). Trace mode only.");
   Flags.addInt("quiesce-interval", 65536,
                "Accesses between quiesce-point audits with "
                "--guest-threads > 1 (0 = only the final audit).");
@@ -614,8 +672,6 @@ void setJobTelemetry(service::Job &Job, telemetry::TelemetrySink *Sink) {
   } else if (auto *S = std::get_if<service::SweepBatchJob>(&Job.Payload)) {
     for (SweepJob &Point : S->Jobs)
       Point.Config.Telemetry = Sink;
-  } else if (auto *SR = std::get_if<service::SharedReplayJob>(&Job.Payload)) {
-    SR->Config.Telemetry = Sink;
   } else {
     std::get<service::TenantJob>(Job.Payload).Run.Telemetry = Sink;
   }
@@ -668,56 +724,30 @@ int runRecord(FlagSet &Flags) {
 /// The --mmap arm of runReplay: replays straight out of the mapping
 /// through the shared-engine runner (its K=1 path is byte-identical to
 /// the serial simulator), so the access stream is never materialized.
-int replayMapped(FlagSet &Flags) {
-  auto Mapped = trace::MappedTrace::open(Flags.positional().front());
-  if (!Mapped) {
-    std::fprintf(stderr, "error: cannot read %s\n",
-                 Flags.positional().front().c_str());
-    return ExitRuntime;
-  }
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: bad policy '%s' (flush | fine | <unit "
-                         "count>)\n",
-                 Flags.getString("policy").c_str());
-    return ExitUsage;
-  }
-  std::string Error;
-  const auto Config = simConfigFromFlags(Flags, &Error);
-  if (!Config) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  const int64_t GuestThreads = Flags.getInt("guest-threads");
-  if (GuestThreads < 1) {
-    std::fprintf(stderr, "error: bad guest-threads %lld (need >= 1)\n",
-                 static_cast<long long>(GuestThreads));
-    return ExitUsage;
-  }
+int replayMapped(const trace::MappedTrace &Mapped, ReplayRequest &R,
+                 const FlagSet &Flags) {
   const auto Sink = makeSinkIfRequested(Flags);
-  concurrent::SharedRunConfig SC;
-  static_cast<SimConfig &>(SC) = *Config;
-  SC.GuestThreads = static_cast<unsigned>(GuestThreads);
-  SC.Telemetry = Sink.get();
-  const concurrent::SharedRunResult R =
-      concurrent::runShared(*Mapped, *Spec, SC);
-  std::fputs(renderSimResult(R).c_str(), stdout);
+  R.Config.Telemetry = Sink.get();
+  const concurrent::SharedRunResult Result =
+      concurrent::runShared(Mapped, R.Spec, R.Config);
+  std::fputs(renderSimResult(Result).c_str(), stdout);
   return exportTelemetry(Flags, Sink.get()) == 0 ? ExitOk : ExitRuntime;
 }
 
 int runReplay(FlagSet &Flags) {
-  if (Flags.getBool("mmap") && !Flags.positional().empty())
-    return replayMapped(Flags);
   std::string Error;
-  auto Job = replayJobFromReplayFlags(Flags, &Error);
-  if (!Job) {
-    const bool Usage = Flags.positional().empty();
+  int Exit = ExitUsage;
+  auto R = replayRequestFromFlags(Flags, &Error, &Exit);
+  if (!R) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return Usage ? ExitUsage : ExitRuntime;
+    return Exit;
   }
+  if (const auto *Mapped = std::get_if<trace::MappedTrace>(&R->Source))
+    return replayMapped(*Mapped, *R, Flags);
   const auto Sink = makeSinkIfRequested(Flags);
-  setJobTelemetry(*Job, Sink.get());
-  return runJobAndPrint(std::move(*Job), Flags, Sink);
+  service::ReplayJob Job = std::move(*R).toJob();
+  Job.Config.Telemetry = Sink.get();
+  return runJobAndPrint(service::Job(std::move(Job)), Flags, Sink);
 }
 
 int runGen(FlagSet &Flags) {
@@ -835,9 +865,10 @@ int auditTranslatorRun(const FlagSet &Flags) {
   const Program P = generateProgram(Spec);
 
   for (const std::string &PolSpec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(PolSpec);
+    std::string Error;
+    const auto Policy = policyFromText(PolSpec, &Error);
     if (!Policy) {
-      std::fprintf(stderr, "error: bad policy '%s'\n", PolSpec.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return ExitUsage;
     }
     TranslatorConfig Config;
@@ -882,133 +913,64 @@ int auditTranslatorRun(const FlagSet &Flags) {
   return ExitOk;
 }
 
-/// The --guest-threads > 1 arm of runAudit: replays each policy through
-/// the shared engine with the full auditSharedEngine rule set firing at
-/// every quiesce point and once over the drained final state.
-int auditSharedRun(const FlagSet &Flags, const Trace &T,
-                   const SimConfig &Capacity) {
-  const unsigned GuestThreads =
-      static_cast<unsigned>(Flags.getInt("guest-threads"));
-  for (const std::string &Spec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(Spec);
-    if (!Policy) {
-      std::fprintf(stderr, "error: bad policy '%s'\n", Spec.c_str());
-      return ExitUsage;
-    }
-    size_t Violations = 0;
-    concurrent::SharedRunConfig SC;
-    static_cast<SimConfig &>(SC) = Capacity;
-    SC.GuestThreads = GuestThreads;
-    SC.Audit = AuditLevel::Full;
-    const int64_t Quiesce = Flags.getInt("quiesce-interval");
-    SC.QuiesceInterval = Quiesce > 0 ? static_cast<uint64_t>(Quiesce) : 0;
-    SC.OnViolation = [&Violations, &Spec](const check::AuditReport &Report,
-                                          const char *Where) {
-      Violations += Report.size();
-      std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Spec.c_str(), Where, Report.render().c_str());
-    };
-    const concurrent::SharedRunResult R =
-        concurrent::runShared(T, *Policy, SC);
-    if (Violations > 0)
-      return ExitRuntime;
-    std::printf("policy %-8s %s accesses, %s evictions, %u guests, "
-                "%llu quiesce audits -- audit clean\n",
-                R.PolicyName.c_str(),
-                formatWithCommas(R.Stats.Accesses).c_str(),
-                formatWithCommas(R.Stats.EvictedBlocks).c_str(),
-                R.GuestThreads,
-                static_cast<unsigned long long>(R.QuiesceAudits));
-  }
-  std::printf("trace %s: every quiesce point audited, all invariants "
-              "held\n",
-              T.Name.c_str());
-  return ExitOk;
-}
-
+/// Replays the trace once per --policies entry through runShared with
+/// the full auditor armed: at K=1 after every cache mutation of the
+/// serial Exact replay, at K>1 at every quiesce point and over the
+/// drained final state. The first violation cancels the replay.
 int runAudit(FlagSet &Flags) {
   if (Flags.getBool("dbt"))
     return auditTranslatorRun(Flags);
 
-  Trace T;
-  if (!Flags.positional().empty()) {
-    if (Flags.getBool("mmap")) {
-      const auto Mapped =
-          trace::MappedTrace::open(Flags.positional().front());
-      if (!Mapped) {
-        std::fprintf(stderr, "error: cannot read %s\n",
-                     Flags.positional().front().c_str());
-        return ExitRuntime;
-      }
-      T = Mapped->toTrace();
-    } else {
-      const auto Loaded = readTrace(Flags.positional().front());
-      if (!Loaded) {
-        std::fprintf(stderr, "error: cannot read %s\n",
-                     Flags.positional().front().c_str());
-        return ExitRuntime;
-      }
-      T = *Loaded;
-    }
-  } else {
-    std::string Error;
-    auto Generated = workloadTraceFromFlags(Flags, &Error);
-    if (!Generated) {
+  std::string Error;
+  int Exit = ExitUsage;
+  auto Source = loadTrace(Flags, &Error, &Exit);
+  auto Config = Source ? runConfigFromFlags(Flags, &Error) : std::nullopt;
+  if (!Config) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return Exit;
+  }
+  const Trace T = ownedTrace(std::move(*Source));
+  Config->Audit = AuditLevel::Full;
+  Config->QuiesceInterval = static_cast<uint64_t>(
+      std::max<int64_t>(0, Flags.getInt("quiesce-interval")));
+  Config->CancelCheckInterval = 1;
+
+  for (const std::string &Text : splitList(Flags.getString("policies"))) {
+    const auto Spec = policyFromText(Text, &Error);
+    if (!Spec) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return ExitUsage;
     }
-    T = std::move(*Generated);
-  }
-
-  std::string Error;
-  const auto Capacity = simConfigFromFlags(Flags, &Error);
-  if (!Capacity) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  if (Flags.getInt("guest-threads") > 1)
-    return auditSharedRun(Flags, T, *Capacity);
-  if (Flags.getInt("guest-threads") < 1) {
-    std::fprintf(stderr, "error: bad guest-threads %lld (need >= 1)\n",
-                 static_cast<long long>(Flags.getInt("guest-threads")));
-    return ExitUsage;
-  }
-
-  for (const std::string &Spec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(Spec);
-    if (!Policy) {
-      std::fprintf(stderr, "error: bad policy '%s'\n", Spec.c_str());
-      return ExitUsage;
-    }
-    CacheEngineConfig MC;
-    MC.CapacityBytes = sim::capacityFor(T, *Capacity);
-    CacheEngine Manager(MC, makePolicy(*Policy));
-
+    CancelToken Stop;
     size_t Violations = 0;
-    check::ParanoiaOptions Opts;
-    Opts.Level = AuditLevel::Full;
-    Opts.OnViolation = [&Violations, &Spec](const check::AuditReport &Report,
-                                            const char *Where) {
+    Config->Cancel = &Stop;
+    Config->OnViolation = [&](const check::AuditReport &Report,
+                              const char *Where) {
       Violations += Report.size();
       std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Spec.c_str(), Where, Report.render().c_str());
+                   Text.c_str(), Where, Report.render().c_str());
+      Stop.requestCancel();
     };
-    check::armAuditor(Manager, Opts);
-
-    for (SuperblockId Id : T.Accesses) {
-      Manager.access(T.recordFor(Id));
-      if (Violations > 0)
-        return ExitRuntime; // First corrupt state wins; report is out.
+    concurrent::SharedRunResult R;
+    try {
+      R = concurrent::runShared(T, *Spec, *Config);
+    } catch (const ReplayCancelled &) {
+      return ExitRuntime; // First corrupt state wins; report is out.
     }
-    std::printf("policy %-8s %s accesses, %s evictions, %s links peak "
-                "-- audit clean\n",
-                Manager.policy().name().c_str(),
-                formatWithCommas(Manager.stats().Accesses).c_str(),
-                formatWithCommas(Manager.stats().EvictedBlocks).c_str(),
-                formatBytes(Manager.stats().BackPointerBytesPeak).c_str());
+    if (Violations > 0)
+      return ExitRuntime;
+    std::printf("policy %-8s %s accesses, %s evictions, %s links peak, "
+                "%u guests, %llu quiesce audits -- audit clean\n",
+                R.PolicyName.c_str(),
+                formatWithCommas(R.Stats.Accesses).c_str(),
+                formatWithCommas(R.Stats.EvictedBlocks).c_str(),
+                formatBytes(R.Stats.BackPointerBytesPeak).c_str(),
+                R.GuestThreads,
+                static_cast<unsigned long long>(R.QuiesceAudits));
   }
-  std::printf("trace %s: every mutation audited, all invariants held\n",
-              T.Name.c_str());
+  std::printf("trace %s: every %s audited, all invariants held\n",
+              T.Name.c_str(),
+              Config->GuestThreads == 1 ? "mutation" : "quiesce point");
   return ExitOk;
 }
 
@@ -1105,7 +1067,7 @@ parseManifest(const std::string &Path, EngineCache &Engines,
         *Error = Prefix + BuildError;
         return std::nullopt;
       }
-      R.Proto = std::move(*J);
+      R.Proto = service::Job(std::move(*J));
     } else if (Verb == "suite") {
       auto J = sweepJobFromSuiteFlags(Flags, Engines, &BuildError);
       if (!J) {

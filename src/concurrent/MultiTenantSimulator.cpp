@@ -3,6 +3,7 @@
 #include "concurrent/MultiTenantSimulator.h"
 
 #include "check/Paranoia.h"
+#include "sim/SerialReplay.h"
 #include "sim/Simulator.h"
 #include "support/Contracts.h"
 #include "support/Random.h"
@@ -302,12 +303,16 @@ MultiTenantResult MultiTenantSimulator::run() {
     if (--StepsUntilCheck > 0)
       return;
     StepsUntilCheck = std::max<uint32_t>(1, Hooks.CancelCheckInterval);
-    if (const char *Reason = Hooks.Cancel->stopReason())
-      throw ReplayCancelled(
-          "multi-tenant replay stopped mid-interleave: " +
-              std::string(Reason),
-          Hooks.Cancel->deadlineExpired() &&
-              !Hooks.Cancel->cancelRequested());
+    if (const char *Reason = Hooks.Cancel->stopReason()) {
+      std::string Names;
+      uint64_t Done = 0, Total = 0;
+      for (size_t T = 0; T < K; ++T) {
+        Names += (T ? "+" : "") + Traces[T].Name;
+        Done += Cursor[T];
+        Total += Traces[T].Accesses.size();
+      }
+      sim::throwReplayCancelled(Names, Done, Total, Reason, *Hooks.Cancel);
+    }
   };
 
   auto Step = [&](size_t T) {

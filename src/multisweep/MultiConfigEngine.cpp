@@ -156,11 +156,7 @@ void MultiConfigEngine::sharedPass() {
   while (I < N) {
     if (Cancel) {
       if (const char *Reason = Cancel->stopReason())
-        throw ReplayCancelled(
-            "one-pass sweep of " + T.Name + " stopped after " +
-                std::to_string(I) + " of " + std::to_string(N) +
-                " accesses: " + Reason,
-            Cancel->deadlineExpired() && !Cancel->cancelRequested());
+        sim::throwReplayCancelled(T.Name, I, N, Reason, *Cancel);
     }
     const size_t End = std::min(N, I + Chunk);
     for (; I < End; ++I) {

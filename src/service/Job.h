@@ -57,11 +57,15 @@ inline bool isTerminal(JobStatus S) {
 }
 
 /// Replay one trace through one policy (the `simulate`/`replay`
-/// subcommands). The job owns its trace.
+/// subcommands and the sustained-load driver). One guest runs sim::run;
+/// more run concurrent::runShared, K guest threads sharing one engine,
+/// whose results are audit-validated rather than byte-pinned. The job
+/// owns its trace.
 struct ReplayJob {
   Trace TraceData;
   GranularitySpec Spec = GranularitySpec::units(8);
   SimConfig Config;
+  unsigned GuestThreads = 1;
 };
 
 /// Run a list of sweep-grid points over a shared suite engine (the
@@ -87,17 +91,6 @@ struct TenantJob {
   std::vector<Trace> Traces;
   TenancyPolicy Policy;
   TenantRunHooks Run;
-};
-
-/// Replay one trace through a thread-shared engine with K guest threads
-/// (the `replay --guest-threads` path and the sustained-load driver).
-/// With Config.GuestThreads == 1 the outcome is byte-identical to the
-/// equivalent ReplayJob; with K > 1 results are audit-validated. The
-/// job owns its trace.
-struct SharedReplayJob {
-  Trace TraceData;
-  GranularitySpec Spec = GranularitySpec::units(8);
-  concurrent::SharedRunConfig Config;
 };
 
 /// Scheduling metadata attached to a job at submission.
@@ -135,7 +128,7 @@ struct JobOptions {
 
 /// One unit of service work: a typed payload plus scheduling options.
 struct Job {
-  std::variant<ReplayJob, SweepBatchJob, TenantJob, SharedReplayJob> Payload;
+  std::variant<ReplayJob, SweepBatchJob, TenantJob> Payload;
   JobOptions Options;
 
   Job() = default;
@@ -145,11 +138,9 @@ struct Job {
       : Payload(std::move(S)), Options(std::move(O)) {}
   Job(TenantJob T, JobOptions O = {})
       : Payload(std::move(T)), Options(std::move(O)) {}
-  Job(SharedReplayJob R, JobOptions O = {})
-      : Payload(std::move(R)), Options(std::move(O)) {}
 
-  /// Stable kind label for metrics
-  /// ("replay" | "sweep" | "tenants" | "shared-replay").
+  /// Stable kind label for metrics: "replay", "shared-replay" (a replay
+  /// with more than one guest thread), "sweep" or "tenants".
   const char *kindName() const;
 
   /// Empty when the payload is runnable; else the descriptive error of

@@ -26,12 +26,12 @@ ccsim::service::runSustainedLoad(const LoadDriverConfig &Config) {
   {
     SimService Service(SC);
     for (uint64_t I = 0; I < Config.TotalJobs; ++I) {
-      SharedReplayJob J;
+      ReplayJob J;
       J.TraceData = Config.TraceData;
       J.Spec = Config.Spec;
-      J.Config.GuestThreads = Config.GuestThreads;
       J.Config.PressureFactor = Config.PressureFactor;
       J.Config.Audit = Config.Audit;
+      J.GuestThreads = Config.GuestThreads;
       Handles.push_back(Service.submit(
           Job(std::move(J),
               JobOptions{}.withLabel("load-" + std::to_string(I + 1)))));

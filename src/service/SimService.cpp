@@ -40,12 +40,10 @@ const char *ccsim::service::jobStatusName(JobStatus S) {
 }
 
 const char *Job::kindName() const {
-  if (std::holds_alternative<ReplayJob>(Payload))
-    return "replay";
+  if (const auto *R = std::get_if<ReplayJob>(&Payload))
+    return R->GuestThreads > 1 ? "shared-replay" : "replay";
   if (std::holds_alternative<SweepBatchJob>(Payload))
     return "sweep";
-  if (std::holds_alternative<SharedReplayJob>(Payload))
-    return "shared-replay";
   return "tenants";
 }
 
@@ -56,6 +54,8 @@ std::string Job::validate() const {
              "' is structurally invalid";
     if (R->Spec.Kind == GranularitySpec::KindType::Units && R->Spec.Units < 1)
       return "replay job needs at least one eviction unit";
+    if (R->GuestThreads < 1)
+      return "replay job needs at least one guest thread";
     return R->Config.validate();
   }
   if (const auto *S = std::get_if<SweepBatchJob>(&Payload)) {
@@ -64,17 +64,6 @@ std::string Job::validate() const {
     if (S->Engine->traces().empty())
       return "sweep batch job's suite engine has no benchmarks";
     return validateSweepGrid(S->Jobs);
-  }
-  if (const auto *SR = std::get_if<SharedReplayJob>(&Payload)) {
-    if (!SR->TraceData.validate())
-      return "shared replay job trace '" + SR->TraceData.Name +
-             "' is structurally invalid";
-    if (SR->Spec.Kind == GranularitySpec::KindType::Units &&
-        SR->Spec.Units < 1)
-      return "shared replay job needs at least one eviction unit";
-    if (SR->Config.GuestThreads < 1)
-      return "shared replay job needs at least one guest thread";
-    return SR->Config.validate();
   }
   const auto &T = std::get<TenantJob>(Payload);
   if (T.Traces.empty())
@@ -106,18 +95,18 @@ JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
   }
   try {
     if (const auto *R = std::get_if<ReplayJob>(&J.Payload)) {
-      SimConfig Config = R->Config;
-      Config.Cancel = Cancel;
-      Out.Replay.push_back(sim::run(R->TraceData, R->Spec, Config));
-    } else if (const auto *SR = std::get_if<SharedReplayJob>(&J.Payload)) {
-      concurrent::SharedRunConfig Config = SR->Config;
-      Config.Cancel = Cancel;
-      // Shared replays surface through the same SimResult slot as plain
-      // replays so every renderer (CLI, batch output, exporters) works
-      // unchanged -- and so the K=1 outcome is byte-identical to a
-      // ReplayJob of the same trace.
-      Out.Replay.push_back(
-          concurrent::runShared(SR->TraceData, SR->Spec, Config));
+      if (R->GuestThreads == 1) {
+        SimConfig Config = R->Config;
+        Config.Cancel = Cancel;
+        Out.Replay.push_back(sim::run(R->TraceData, R->Spec, Config));
+      } else {
+        concurrent::SharedRunConfig Config;
+        static_cast<SimConfig &>(Config) = R->Config;
+        Config.GuestThreads = R->GuestThreads;
+        Config.Cancel = Cancel;
+        Out.Replay.push_back(
+            concurrent::runShared(R->TraceData, R->Spec, Config));
+      }
     } else if (const auto *S = std::get_if<SweepBatchJob>(&J.Payload)) {
       std::vector<SweepJob> Points = S->Jobs;
       for (SweepJob &Point : Points)

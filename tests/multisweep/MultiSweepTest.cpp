@@ -355,6 +355,7 @@ TEST(MultiSweepServiceTest, CancelStopsAOnePassSweepMidPass) {
   const service::JobOutcome O = service::executeJob(slowSweepBatch(), &Token);
   Controller.join();
   EXPECT_EQ(O.Status, service::JobStatus::Cancelled) << O.Error;
+  EXPECT_EQ(O.Error.rfind("replay of ", 0), 0u) << O.Error;
   EXPECT_TRUE(O.Suite.empty()) << "partial results must be discarded";
 }
 

@@ -580,12 +580,65 @@ TEST(SimServiceTest, NanPressureJobsFailWithoutAborting) {
   EXPECT_NE(O.Error.find("pressure factor"), std::string::npos) << O.Error;
   EXPECT_TRUE(O.Replay.empty());
 
-  SharedReplayJob SR;
+  ReplayJob SR;
   SR.TraceData = syntheticTrace(4, 100);
-  SR.Config.GuestThreads = 2;
   SR.Config.PressureFactor = NaN;
+  SR.GuestThreads = 2;
   const JobOutcome SO = executeJob(Job(std::move(SR)), nullptr);
   EXPECT_EQ(SO.Status, JobStatus::Failed);
   EXPECT_NE(SO.Error.find("pressure factor"), std::string::npos) << SO.Error;
   EXPECT_TRUE(SO.Replay.empty());
+}
+
+TEST(SimServiceTest, GuestThreadsPickTheReplayRunner) {
+  const Trace T = scaledTrace("gzip", 0.05);
+  SimConfig Config;
+  Config.PressureFactor = 6.0;
+
+  // One guest is sim::run: the SimResult fields and the full CacheStats
+  // metrics export, doubles included, compare equal.
+  const JobOutcome One =
+      executeJob(Job(ReplayJob{T, GranularitySpec::units(8), Config, 1}),
+                 nullptr);
+  ASSERT_EQ(One.Status, JobStatus::Done) << One.Error;
+  ASSERT_EQ(One.Replay.size(), 1u);
+  const SimResult Serial = sim::run(T, GranularitySpec::units(8), Config);
+  const SimResult &Got = One.Replay.front();
+  EXPECT_EQ(Got.BenchmarkName, Serial.BenchmarkName);
+  EXPECT_EQ(Got.PolicyName, Serial.PolicyName);
+  EXPECT_EQ(Got.CapacityBytes, Serial.CapacityBytes);
+  EXPECT_EQ(Got.MaxCacheBytes, Serial.MaxCacheBytes);
+  telemetry::MetricsRegistry GotStats, SerialStats;
+  Got.Stats.recordMetrics(GotStats, {});
+  Serial.Stats.recordMetrics(SerialStats, {});
+  EXPECT_EQ(telemetry::renderMetricsCsv(GotStats),
+            telemetry::renderMetricsCsv(SerialStats));
+
+  // Two guests share one engine through the service, labeled apart.
+  telemetry::TelemetrySink Sink;
+  SimServiceConfig SC;
+  SC.Threads = 1;
+  SC.Telemetry = &Sink;
+  {
+    SimService Service(SC);
+    JobHandle H = Service.submit(
+        Job(ReplayJob{T, GranularitySpec::units(8), Config, 2}));
+    const JobOutcome &Two = H.wait();
+    ASSERT_EQ(Two.Status, JobStatus::Done) << Two.Error;
+    ASSERT_EQ(Two.Replay.size(), 1u);
+    EXPECT_EQ(Two.Replay.front().Stats.Accesses, T.Accesses.size());
+  }
+  EXPECT_EQ(Sink.Metrics.counterValue("service_jobs_submitted",
+                                      {{"kind", "shared-replay"}}),
+            1u);
+  EXPECT_EQ(Sink.Metrics.counterValue("service_jobs_submitted",
+                                      {{"kind", "replay"}}),
+            0u);
+
+  const JobOutcome None =
+      executeJob(Job(ReplayJob{T, GranularitySpec::units(8), Config, 0}),
+                 nullptr);
+  EXPECT_EQ(None.Status, JobStatus::Failed);
+  EXPECT_NE(None.Error.find("at least one guest thread"), std::string::npos)
+      << None.Error;
 }

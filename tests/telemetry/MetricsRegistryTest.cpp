@@ -127,43 +127,43 @@ void recordOne(MetricsRegistry &R, void (*Set)(CacheStats &)) {
 
 } // namespace
 
-TEST(CacheStatsRecordToTest, ExposesWastedBytes) {
+TEST(CacheStatsRecordMetricsTest, ExposesWastedBytes) {
   MetricsRegistry R;
   recordOne(R, [](CacheStats &S) { S.WastedBytes = 321; });
   EXPECT_EQ(R.counterValue("cache.wasted_bytes", kLabels), 321u);
 }
 
-TEST(CacheStatsRecordToTest, ExposesUnitsFlushed) {
+TEST(CacheStatsRecordMetricsTest, ExposesUnitsFlushed) {
   MetricsRegistry R;
   recordOne(R, [](CacheStats &S) { S.UnitsFlushed = 17; });
   EXPECT_EQ(R.counterValue("cache.evictions.units_flushed", kLabels), 17u);
 }
 
-TEST(CacheStatsRecordToTest, ExposesSelfLinks) {
+TEST(CacheStatsRecordMetricsTest, ExposesSelfLinks) {
   MetricsRegistry R;
   recordOne(R, [](CacheStats &S) { S.SelfLinksCreated = 9; });
   EXPECT_EQ(R.counterValue("cache.links.self", kLabels), 9u);
 }
 
-TEST(CacheStatsRecordToTest, ExposesUnlinkOperations) {
+TEST(CacheStatsRecordMetricsTest, ExposesUnlinkOperations) {
   MetricsRegistry R;
   recordOne(R, [](CacheStats &S) { S.UnlinkOperations = 5; });
   EXPECT_EQ(R.counterValue("cache.unlink.operations", kLabels), 5u);
 }
 
-TEST(CacheStatsRecordToTest, ExposesRepairedLinkCount) {
+TEST(CacheStatsRecordMetricsTest, ExposesRepairedLinkCount) {
   MetricsRegistry R;
   recordOne(R, [](CacheStats &S) { S.UnlinkedLinks = 44; });
   EXPECT_EQ(R.counterValue("cache.unlink.links_repaired", kLabels), 44u);
 }
 
-TEST(CacheStatsRecordToTest, ExposesPreemptiveFlushes) {
+TEST(CacheStatsRecordMetricsTest, ExposesPreemptiveFlushes) {
   MetricsRegistry R;
   recordOne(R, [](CacheStats &S) { S.PreemptiveFlushes = 2; });
   EXPECT_EQ(R.counterValue("cache.flushes.preemptive", kLabels), 2u);
 }
 
-TEST(CacheStatsRecordToTest, ExposesBackPointerFootprint) {
+TEST(CacheStatsRecordMetricsTest, ExposesBackPointerFootprint) {
   CacheStats S;
   S.Accesses = 4;
   S.BackPointerBytesPeak = 4096;
@@ -176,7 +176,7 @@ TEST(CacheStatsRecordToTest, ExposesBackPointerFootprint) {
                    2048.0);
 }
 
-TEST(CacheStatsRecordToTest, CountersAccumulateAcrossRecords) {
+TEST(CacheStatsRecordMetricsTest, CountersAccumulateAcrossRecords) {
   CacheStats S;
   S.Misses = 10;
   MetricsRegistry R;
