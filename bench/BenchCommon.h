@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Helpers shared by the per-figure bench binaries: a common flag set
-/// (--scale, --seed, pressure controls), engine construction, and uniform
-/// headers so EXPERIMENTS.md can be assembled from bench output directly.
+/// (--scale, --seed, pressure controls), engine construction, uniform
+/// headers so EXPERIMENTS.md can be assembled from bench output directly,
+/// and the host descriptor the recorded BENCH_*.json files carry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace ccsim {
@@ -81,6 +83,15 @@ inline void printHeader(const std::string &Title,
 
 /// The pressure axis of Figures 7, 11 and 15.
 inline std::vector<double> pressureAxis() { return {2, 4, 6, 8, 10}; }
+
+/// The host a record was measured on, as a JSON object: hardware threads,
+/// compiler and build type (the last two defined by bench/CMakeLists.txt).
+inline std::string hostJson() {
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" CCSIM_BENCH_COMPILER
+         "\", \"build_type\": \"" CCSIM_BENCH_BUILD_TYPE "\"}";
+}
 
 } // namespace benchutil
 } // namespace ccsim

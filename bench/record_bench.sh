@@ -8,8 +8,8 @@
 #   bench/record_bench.sh --pressures=2        # hit-dominated slice
 #   bench/record_bench.sh adversarial          # degradation, scale 0.25
 #   bench/record_bench.sh adversarial --seed=7 # custom adversarial run
-#   bench/record_bench.sh service              # 20M-op shared-engine run
-#   bench/record_bench.sh service --ops=500000 # quicker service smoke
+#   bench/record_bench.sh service              # runShared at K=1..8
+#   bench/record_bench.sh service --accesses=100000 # quicker smoke
 #   bench/record_bench.sh sharing              # cross-tenant sharing study
 #   bench/record_bench.sh sharing --scale=0.5  # quicker sharing smoke
 #
@@ -19,8 +19,8 @@
 # BUILD_DIR). A record is only installed if its binary exits 0 AND its
 # validator passes: sweep gates bit-identity of the one-pass results,
 # adversarial gates the 5x degradation floor, service gates the
-# shared-engine conservation/audit/accounting invariants, sharing gates
-# the refcount-conservation and footprint-dedup claims. Schema
+# shared-engine conservation/audit/K=1-identity/accounting invariants,
+# sharing gates the refcount-conservation and footprint-dedup claims. Schema
 # validation happens in the record_*.cmake scripts so CI can reuse them
 # without a shell.
 set -euo pipefail

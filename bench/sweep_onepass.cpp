@@ -33,33 +33,8 @@ using namespace ccsim;
 
 namespace {
 
-/// Bitwise equality over every CacheStats counter. The one-pass contract
-/// is bit-identity, not tolerance — double fields compare with ==.
-bool statsEqual(const CacheStats &A, const CacheStats &B) {
-  return A.Accesses == B.Accesses && A.Hits == B.Hits &&
-         A.Misses == B.Misses && A.ColdMisses == B.ColdMisses &&
-         A.CapacityMisses == B.CapacityMisses &&
-         A.TooBigMisses == B.TooBigMisses && A.Inserts == B.Inserts &&
-         A.InsertedBytes == B.InsertedBytes &&
-         A.EvictionInvocations == B.EvictionInvocations &&
-         A.EvictedBlocks == B.EvictedBlocks &&
-         A.EvictedBytes == B.EvictedBytes &&
-         A.UnitsFlushed == B.UnitsFlushed &&
-         A.PreemptiveFlushes == B.PreemptiveFlushes &&
-         A.WastedBytes == B.WastedBytes &&
-         A.LinksCreated == B.LinksCreated &&
-         A.InterUnitLinksCreated == B.InterUnitLinksCreated &&
-         A.SelfLinksCreated == B.SelfLinksCreated &&
-         A.UnlinkedLinks == B.UnlinkedLinks &&
-         A.UnlinkOperations == B.UnlinkOperations &&
-         A.LinksDestroyed == B.LinksDestroyed &&
-         A.MissOverhead == B.MissOverhead &&
-         A.EvictionOverhead == B.EvictionOverhead &&
-         A.UnlinkOverhead == B.UnlinkOverhead &&
-         A.BackPointerBytesPeak == B.BackPointerBytesPeak &&
-         A.BackPointerBytesSum == B.BackPointerBytesSum;
-}
-
+/// Bit-identity of two suite results: CacheStats compares every counter,
+/// doubles included, with ==.
 bool suitesEqual(const std::vector<SuiteResult> &A,
                  const std::vector<SuiteResult> &B) {
   if (A.size() != B.size())
@@ -67,7 +42,7 @@ bool suitesEqual(const std::vector<SuiteResult> &A,
   for (size_t I = 0; I < A.size(); ++I) {
     if (A[I].PolicyLabel != B[I].PolicyLabel ||
         A[I].PressureFactor != B[I].PressureFactor ||
-        !statsEqual(A[I].Combined, B[I].Combined) ||
+        A[I].Combined != B[I].Combined ||
         A[I].PerBenchmark.size() != B[I].PerBenchmark.size())
       return false;
     for (size_t P = 0; P < A[I].PerBenchmark.size(); ++P) {
@@ -75,7 +50,7 @@ bool suitesEqual(const std::vector<SuiteResult> &A,
       const SimResult &Y = B[I].PerBenchmark[P];
       if (X.BenchmarkName != Y.BenchmarkName ||
           X.PolicyName != Y.PolicyName ||
-          X.CapacityBytes != Y.CapacityBytes || !statsEqual(X.Stats, Y.Stats))
+          X.CapacityBytes != Y.CapacityBytes || X.Stats != Y.Stats)
         return false;
     }
   }

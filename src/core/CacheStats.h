@@ -86,6 +86,10 @@ struct CacheStats {
   double BackPointerBytesSum = 0.0; ///< Summed per access; divide by
                                     ///< Accesses for the time average.
 
+  /// Field-for-field equality; doubles compare with ==, so two replays
+  /// are equal only when they are bit-identical.
+  bool operator==(const CacheStats &) const = default;
+
   /// Misses per access; 0 when there were no accesses.
   double missRate() const {
     if (Accesses == 0)

@@ -85,8 +85,7 @@ SharedCacheEngine::SharedCacheEngine(const SharedEngineConfig &Config,
             };
             return EC;
           }(),
-          std::move(Policy)),
-      OnInstallPayload(Config.OnInstallPayload) {
+          std::move(Policy)) {
   NShards = roundUpPow2(std::max(1u, Config.Shards));
   ShardMask = NShards - 1;
   ShardBits = 0;
@@ -170,26 +169,6 @@ AccessKind SharedCacheEngine::missSlow(const SuperblockRecord &Rec) {
   Engine.addDeferredBackPointerSamples(1);
   reconcileIndexEntry(Rec.Id);
   return K;
-}
-
-bool SharedCacheEngine::install(const SuperblockRecord &Rec) {
-  TimedLock L(EngineMu, EngineLockStalls, EngineLockWaitMicros, LockWaitHist);
-  if (Engine.cache().contains(Rec.Id)) {
-    InstallRaces.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const bool Installed = Engine.install(Rec);
-  reconcileIndexEntry(Rec.Id);
-  if (Installed && OnInstallPayload)
-    OnInstallPayload(Rec);
-  return Installed;
-}
-
-bool SharedCacheEngine::probe(SuperblockId Id) const {
-  const Shard &S = Shards[shardOf(Id)];
-  ReaderLock RL(S.Mu);
-  const size_t Slot = slotOf(Id);
-  return Slot < S.Resident.size() && S.Resident[Slot] != 0;
 }
 
 void SharedCacheEngine::settle(uint64_t TotalAccesses) {
@@ -324,8 +303,8 @@ void SharedCacheEngine::reconcileIndexEntry(SuperblockId Id) {
 void SharedCacheEngine::onEvictionBatch(
     std::span<const CodeCache::Resident> Victims,
     const EvictPayloadHook &Owner) {
-  // Runs under EngineMu (all evictions originate from a miss / install /
-  // flush holding it). Take the victims' region fences exclusively in
+  // Runs under EngineMu (all evictions originate from a miss or flush
+  // holding it). Take the victims' region fences exclusively in
   // ascending order, tear down payloads, then kill the index entries --
   // hits in unaffected regions proceed untouched throughout.
   RegionScratch.clear();

@@ -11,8 +11,8 @@
 ///
 ///   EngineMu   one exclusive mutex over the underlying CacheEngine
 ///              (CodeCache placement, LinkGraph, free state, counters).
-///              Misses, installs, and evictions serialize here — exactly
-///              the translate/evict path a real DBT serializes too.
+///              Misses and evictions serialize here — exactly the
+///              translate/evict path a real DBT serializes too.
 ///
 ///   Shards     a lock-striped residency index over superblock ids
 ///              (shard = id & mask). The concurrent hit path answers
@@ -88,10 +88,10 @@ struct SharedIndexState {
 /// counters are atomics); exact totals require the guests to have joined.
 struct ContentionCounters {
   uint64_t FastHits = 0;        ///< Concurrent-mode hits (incl. races).
-  uint64_t InstallRaces = 0;    ///< Miss/install found block already in.
+  uint64_t InstallRaces = 0;    ///< Miss found block already resident.
   uint64_t FenceSharedStalls = 0;    ///< Hit blocked on a fenced region.
   uint64_t FenceExclusiveStalls = 0; ///< Evictor blocked on in-flight hits.
-  uint64_t EngineLockStalls = 0;     ///< Miss/install blocked on EngineMu.
+  uint64_t EngineLockStalls = 0;     ///< Miss blocked on EngineMu.
   uint64_t EngineLockWaitMicros = 0; ///< Total blocked time on EngineMu.
   uint64_t QuiescePoints = 0;
 };
@@ -108,13 +108,6 @@ struct SharedEngineConfig {
 
   /// Eviction-fence regions over [0, CapacityBytes) (min 1).
   unsigned Fences = 16;
-
-  /// Fired under EngineMu immediately after a successful install() or a
-  /// miss-path insert, with the new block resident and indexed. The
-  /// execution-driven owner registers its dispatch entry here so the
-  /// dispatch table and residency can never be observed out of sync at a
-  /// quiesce point.
-  std::function<void(const SuperblockRecord &)> OnInstallPayload;
 };
 
 /// Thread-shared engine. All public entry points are safe to call from
@@ -138,17 +131,6 @@ public:
   /// Processes one dispatch event. Exact mode: CacheEngine::access()
   /// under EngineMu. Concurrent mode: sharded fast hit or deferred miss.
   AccessKind access(const SuperblockRecord &Rec) CCSIM_EXCLUDES(EngineMu);
-
-  /// Execution-driven front door: installs \p Rec unless it is already
-  /// resident (a racing install, counted, returns false). Victim payload
-  /// teardown runs under the victims' eviction fences. Not legal in a
-  /// run that also drives Concurrent-mode access() (install counts its
-  /// own access, which would break settle()).
-  bool install(const SuperblockRecord &Rec) CCSIM_EXCLUDES(EngineMu);
-
-  /// Lock-free-ish residency probe (shared shard lock only): the "find"
-  /// half of a find/add stress loop. Never touches EngineMu.
-  bool probe(SuperblockId Id) const;
 
   /// Concurrent mode only: reconciles the deferred counters after the
   /// guests joined. \p TotalAccesses must equal every access() call made.
@@ -234,8 +216,8 @@ private:
   /// victims' region fences exclusively, runs the owner's payload
   /// teardown \p Owner, and removes the victims from the index -- all
   /// before the engine's own accounting. Runs under EngineMu by
-  /// construction (every eviction originates from a miss/install/flush
-  /// under it). The lock set is data-dependent, which the analysis cannot
+  /// construction (every eviction originates from a miss or flush under
+  /// it). The lock set is data-dependent, which the analysis cannot
   /// model.
   void onEvictionBatch(std::span<const CodeCache::Resident> Victims,
                        const EvictPayloadHook &Owner)
@@ -256,8 +238,6 @@ private:
 
   ccsim::Mutex EngineMu;
   CacheEngine Engine CCSIM_GUARDED_BY(EngineMu);
-  std::function<void(const SuperblockRecord &)>
-      OnInstallPayload; ///< Immutable after construction.
 
   std::unique_ptr<Shard[]> Shards;
   std::unique_ptr<Fence[]> Fences;

@@ -42,11 +42,8 @@ std::string ccsim::validateSweepGrid(const std::vector<SweepJob> &Jobs) {
     return "sweep grid has no points (empty lattice)";
   for (size_t I = 0; I < Jobs.size(); ++I) {
     std::string Err = Jobs[I].validate();
-    if (!Err.empty()) {
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "sweep point %zu: ", I);
-      return Buf + Err;
-    }
+    if (!Err.empty())
+      return "sweep point " + std::to_string(I) + ": " + Err;
   }
   return {};
 }

@@ -28,7 +28,7 @@ CacheEngine makeManager(uint64_t Capacity, GranularitySpec Spec,
 
 } // namespace
 
-TEST(CacheManagerTest, HitAndMissCounting) {
+TEST(CacheEngineAccountingTest, HitAndMissCounting) {
   CacheEngine M = makeManager(1000, GranularitySpec::fine());
   EXPECT_EQ(M.access(rec(0, 100)), AccessKind::Miss);
   EXPECT_EQ(M.access(rec(0, 100)), AccessKind::Hit);
@@ -40,7 +40,7 @@ TEST(CacheManagerTest, HitAndMissCounting) {
   EXPECT_DOUBLE_EQ(S.missRate(), 2.0 / 3.0);
 }
 
-TEST(CacheManagerTest, ColdVersusCapacityMisses) {
+TEST(CacheEngineAccountingTest, ColdVersusCapacityMisses) {
   CacheEngine M = makeManager(200, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100));
@@ -52,7 +52,7 @@ TEST(CacheManagerTest, ColdVersusCapacityMisses) {
   EXPECT_EQ(S.Misses, 4u);
 }
 
-TEST(CacheManagerTest, MissOverheadUsesEquation3) {
+TEST(CacheEngineAccountingTest, MissOverheadUsesEquation3) {
   CacheEngine M = makeManager(1000, GranularitySpec::fine());
   M.access(rec(0, 230));
   EXPECT_NEAR(M.stats().MissOverhead, 19264.0, 0.01);

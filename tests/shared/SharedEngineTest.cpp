@@ -3,9 +3,9 @@
 // The SharedCacheEngine contract on one thread, where every outcome is
 // deterministic: Exact mode replicates the plain CacheEngine access for
 // access, Concurrent mode settles to the same stats for access-stateless
-// policies, the install/probe front doors keep the residency index and
-// the owner's payload hooks in lockstep, and quiesce() exposes a state
-// the structural auditor accepts. The multi-threaded schedules live in
+// policies, the owner's eviction payload tears down exactly the blocks
+// that misses made resident, and quiesce() exposes a state the
+// structural auditor accepts. The multi-threaded schedules live in
 // SharedStressTest.cpp; this file pins the semantics those runs rely on.
 //
 //===----------------------------------------------------------------------===//
@@ -137,60 +137,64 @@ TEST(SharedEngineTest, ConcurrentModeSettlesToSerialStats) {
   EXPECT_EQ(C.FastHits, Reference.stats().Hits);
 }
 
-TEST(SharedEngineTest, ProbeAndInstallFrontDoors) {
+TEST(SharedEngineTest, TooBigBlockMissesWithoutEnteringIndex) {
   SharedEngineConfig SC;
   SC.Engine.CapacityBytes = 1000;
   SharedCacheEngine E(SC, makePolicy(GranularitySpec::fine()),
                       ShareMode::Concurrent);
 
-  EXPECT_FALSE(E.probe(5));
-  EXPECT_TRUE(E.install(rec(5, 100)));
-  EXPECT_TRUE(E.probe(5));
-
-  // A second install of the same block is the losing half of an install
-  // race: counted, rejected, nothing double-inserted.
-  EXPECT_FALSE(E.install(rec(5, 100)));
-  EXPECT_EQ(E.contention().InstallRaces, 1u);
-
-  // A block larger than the cache is rejected without becoming resident.
-  EXPECT_FALSE(E.install(rec(6, 2000)));
-  EXPECT_FALSE(E.probe(6));
+  EXPECT_EQ(E.access(rec(5, 100)), AccessKind::Miss);
+  // A block larger than the whole cache is a miss that never becomes
+  // resident, so no later access may fast-hit it.
+  EXPECT_EQ(E.access(rec(6, 2000)), AccessKind::MissTooBig);
+  EXPECT_EQ(E.access(rec(6, 2000)), AccessKind::MissTooBig);
+  EXPECT_EQ(E.access(rec(5, 100)), AccessKind::Hit);
+  E.settle(4);
 
   E.quiesce([](const SharedCacheEngine &Q) {
-    EXPECT_TRUE(Q.engineForAudit().cache().contains(5));
+    const check::AuditReport Report = check::auditSharedEngine(Q);
+    EXPECT_TRUE(Report.clean()) << Report.render();
+    EXPECT_FALSE(Q.engineForAudit().cache().contains(6));
+    const SharedIndexState Index = Q.indexSnapshot();
+    ASSERT_EQ(Index.Entries.size(), 1u);
+    EXPECT_EQ(Index.Entries[0].Id, 5u);
   });
+  EXPECT_EQ(E.stats().TooBigMisses, 2u);
+  EXPECT_EQ(E.contention().FastHits, 1u);
 }
 
-TEST(SharedEngineTest, InstallAndEvictPayloadsStayInLockstep) {
-  // The dispatch-table contract: OnInstallPayload registers every block
-  // that becomes resident, the eviction payload hook tears down every
-  // victim, so at any quiesce point the payload set equals the resident
-  // set exactly.
-  std::set<SuperblockId> Payloads;
+TEST(SharedEngineTest, EvictPayloadSeesEachResidentVictimOnce) {
+  // The owner's eviction payload is the teardown half of a dispatch
+  // table: every victim must be a block that some miss made resident, and
+  // each residency is torn down exactly once. Replaying the blocks that
+  // missed minus the victims the payload saw must therefore reproduce the
+  // resident set at any quiesce point.
+  std::set<SuperblockId> Live;
   SharedEngineConfig SC;
   SC.Engine.CapacityBytes = 600;
-  SC.OnInstallPayload = [&Payloads](const SuperblockRecord &R) {
-    EXPECT_TRUE(Payloads.insert(R.Id).second) << "double install " << R.Id;
-  };
   SC.Engine.OnEvictPayload =
-      [&Payloads](std::span<const CodeCache::Resident> Victims) {
+      [&Live](std::span<const CodeCache::Resident> Victims) {
         for (const CodeCache::Resident &V : Victims)
-          EXPECT_EQ(Payloads.erase(V.Id), 1u) << "untracked victim " << V.Id;
+          EXPECT_EQ(Live.erase(V.Id), 1u) << "victim not resident " << V.Id;
       };
   SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(4)),
                       ShareMode::Concurrent);
 
-  for (SuperblockId Id = 0; Id < 200; ++Id)
-    E.install(rec(Id, 40 + Id % 17));
+  const std::vector<SuperblockId> Stream = strideStream(50, 4);
+  for (SuperblockId Id : Stream) {
+    if (E.access(rec(Id, 40 + Id % 17)) == AccessKind::Miss) {
+      EXPECT_TRUE(Live.insert(Id).second) << "double insert " << Id;
+    }
+  }
+  E.settle(Stream.size());
+  EXPECT_GT(E.stats().EvictedBlocks, 0u);
 
-  E.quiesce([&Payloads](const SharedCacheEngine &Q) {
-    size_t Resident = 0;
-    for (SuperblockId Id = 0; Id < 200; ++Id)
-      if (Q.engineForAudit().cache().contains(Id)) {
-        ++Resident;
-        EXPECT_EQ(Payloads.count(Id), 1u) << "resident but no payload";
-      }
-    EXPECT_EQ(Payloads.size(), Resident);
+  E.quiesce([&Live](const SharedCacheEngine &Q) {
+    std::set<SuperblockId> Resident;
+    for (SuperblockId Id = 0; Id < 50; ++Id)
+      if (Q.engineForAudit().cache().contains(Id))
+        Resident.insert(Id);
+    EXPECT_EQ(Live, Resident);
   });
 }
 
