@@ -892,7 +892,7 @@ int auditTranslatorRun(const FlagSet &Flags) {
     check::armAuditor(T, Opts);
 
     const TranslatorStats &S = T.run(1ULL << 40);
-    const check::AuditReport Final = check::CacheAuditor().auditTranslator(T);
+    const check::AuditReport Final = check::auditTranslator(T);
     if (!Final.clean()) {
       Violations += Final.size();
       std::fprintf(stderr, "audit FAILED (policy %s, final state):\n%s",

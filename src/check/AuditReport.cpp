@@ -56,6 +56,8 @@ const char *check::ruleId(AuditRule Rule) {
     return "freelist.occupancy-mismatch";
   case AuditRule::FreeListLruMismatch:
     return "freelist.lru-mismatch";
+  case AuditRule::FreeListLruPositionStale:
+    return "freelist.lru-position-stale";
   case AuditRule::GenerationalDualResidency:
     return "generational.dual-residency";
   case AuditRule::StatsAccessSplitMismatch:
@@ -78,6 +80,10 @@ const char *check::ruleId(AuditRule Rule) {
     return "dispatch.resident-unreachable";
   case AuditRule::DispatchSizeMismatch:
     return "dispatch.size-mismatch";
+  case AuditRule::DispatchProbeUnreachable:
+    return "dispatch.probe-unreachable";
+  case AuditRule::DispatchCounterDrift:
+    return "dispatch.counter-drift";
   case AuditRule::SharedIndexStaleEntry:
     return "shared.index-stale-entry";
   case AuditRule::SharedIndexMissingEntry:
@@ -141,6 +147,9 @@ const char *check::ruleFixHint(AuditRule Rule) {
   case AuditRule::FreeListLruMismatch:
     return "FreeListCache insert/evictLru/touch must keep LruList in sync "
            "with slot residency";
+  case AuditRule::FreeListLruPositionStale:
+    return "FreeListCache::insert must store the LruList iterator it "
+           "inserted, and touch must splice that entry, never copy it";
   case AuditRule::GenerationalDualResidency:
     return "GenerationalCache::access must check both generations "
            "before inserting";
@@ -159,6 +168,12 @@ const char *check::ruleFixHint(AuditRule Rule) {
     return "Translator::installFragment and the eviction payloads must "
            "insert/remove DispatchTable entries in lockstep with the "
            "engine's commitInsert/evictions";
+  case AuditRule::DispatchProbeUnreachable:
+    return "DispatchTable::remove must leave a tombstone (never an empty "
+           "slot) and grow must rehash every live entry";
+  case AuditRule::DispatchCounterDrift:
+    return "DispatchTable insert/remove/grow must move Live and Used with "
+           "every slot state change";
   case AuditRule::SharedIndexStaleEntry:
   case AuditRule::SharedIndexMissingEntry:
   case AuditRule::SharedIndexRegionMismatch:

@@ -67,6 +67,7 @@ enum class AuditRule : uint8_t {
                               ///< arena (lost or duplicated bytes).
   FreeListOccupancyMismatch,  ///< Byte accounting vs. extents disagrees.
   FreeListLruMismatch,        ///< LRU list does not match residency.
+  FreeListLruPositionStale,   ///< A slot's LRU position holds another id.
 
   // GenerationalCache.
   GenerationalDualResidency,  ///< Block resident in nursery AND tenured.
@@ -88,6 +89,11 @@ enum class AuditRule : uint8_t {
   DispatchResidentUnreachable,///< Resident fragment with no table entry at
                               ///< its entry PC.
   DispatchSizeMismatch,       ///< Live-entry count != resident count.
+  DispatchProbeUnreachable,   ///< Live entry that probing its PC does not
+                              ///< reach (a broken probe chain: the DBT
+                              ///< would regenerate a resident fragment).
+  DispatchCounterDrift,       ///< Live/Used counters disagree with the
+                              ///< slots (Used drives the growth trigger).
 
   // Thread-shared engine: the sharded residency index against the code
   // cache, checked at eviction-fence quiesce points. A stale entry would

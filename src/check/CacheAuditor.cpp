@@ -2,6 +2,7 @@
 
 #include "check/CacheAuditor.h"
 
+#include "runtime/DispatchTable.h"
 #include "runtime/Translator.h"
 
 #include <algorithm>
@@ -74,8 +75,8 @@ FreeListState check::captureFreeList(const FreeListCache &Cache) {
   });
   for (SuperblockId Id = 0; Id < Cache.idTableSize(); ++Id)
     if (Cache.contains(Id))
-      State.Allocs.push_back(
-          FreeListState::Alloc{Id, Cache.startOf(Id), Cache.sizeOf(Id)});
+      State.Allocs.push_back(FreeListState::Alloc{
+          Id, Cache.startOf(Id), Cache.sizeOf(Id), Cache.lruEntryOf(Id)});
   Cache.forEachLru(
       [&](SuperblockId Id) { State.LruOrder.push_back(Id); });
   return State;
@@ -100,13 +101,31 @@ DispatchTableState check::captureDispatchTable(const Translator &T,
   const DispatchTable &Table =
       BasicBlockTier ? T.basicBlockDispatchTable() : T.dispatchTable();
   State.Entries.reserve(Table.size());
-  Table.forEachLive([&](uint32_t PC, int32_t Slot) {
-    State.Entries.push_back(
-        DispatchTableState::Entry{PC, T.fragmentIdAtSlot(Slot)});
+  Table.forEachUsed([&](uint32_t PC, int32_t Slot, bool Live) {
+    if (Live)
+      State.Entries.push_back(
+          DispatchTableState::Entry{PC, T.fragmentIdAtSlot(Slot)});
   });
   State.PCById.reserve(T.numKnownEntryPCs());
   for (SuperblockId Id = 0; Id < T.numKnownEntryPCs(); ++Id)
     State.PCById.push_back(T.entryPCOf(Id));
+  return State;
+}
+
+DispatchProbeState check::captureDispatchProbes(const DispatchTable &Table) {
+  DispatchProbeState State;
+  State.LiveCounter = Table.size();
+  State.UsedCounter = Table.usedSlots();
+  State.Entries.reserve(Table.size());
+  Table.forEachUsed([&](uint32_t PC, int32_t Fragment, bool Live) {
+    if (!Live) {
+      ++State.Tombstones;
+      return;
+    }
+    unsigned Probes = 0;
+    State.Entries.push_back(
+        DispatchProbeState::Entry{PC, Fragment, Table.lookup(PC, Probes)});
+  });
   return State;
 }
 
@@ -477,6 +496,14 @@ void check::checkFreeList(const FreeListState &Arena, AuditReport &Report) {
   for (SuperblockId Id : StrayLru)
     Report.add(AuditRule::FreeListLruMismatch, ids({Id}),
                "LRU entry %llu is not resident", static_cast<ULL>(Id));
+
+  // Each slot's LRU position must point back at the slot's own id, or
+  // touch/evictLru would splice or erase another block's entry.
+  for (const FreeListState::Alloc &A : Arena.Allocs)
+    if (A.LruEntry != A.Id)
+      Report.add(AuditRule::FreeListLruPositionStale, ids({A.Id, A.LruEntry}),
+                 "block %llu's LRU position holds block %llu",
+                 static_cast<ULL>(A.Id), static_cast<ULL>(A.LruEntry));
 }
 
 // --- Generational rules --------------------------------------------------
@@ -612,6 +639,27 @@ void check::checkDispatchTable(const DispatchTableState &Table,
                Table.Entries.size(), Cache.Lookup.size());
 }
 
+void check::checkDispatchProbes(const DispatchProbeState &Table,
+                                AuditReport &Report) {
+  for (const DispatchProbeState::Entry &E : Table.Entries)
+    if (E.Probed != E.Fragment)
+      Report.add(AuditRule::DispatchProbeUnreachable,
+                 ids({E.PC, static_cast<uint64_t>(E.Fragment)}),
+                 "entry PC %llu -> fragment index %lld is unreachable by "
+                 "probing (lookup returns %lld)",
+                 static_cast<ULL>(E.PC), static_cast<long long>(E.Fragment),
+                 static_cast<long long>(E.Probed));
+  if (Table.LiveCounter != Table.Entries.size())
+    Report.add(AuditRule::DispatchCounterDrift, {},
+               "Live counter %llu but %zu live slots",
+               static_cast<ULL>(Table.LiveCounter), Table.Entries.size());
+  if (Table.UsedCounter != Table.Entries.size() + Table.Tombstones)
+    Report.add(AuditRule::DispatchCounterDrift, {},
+               "Used counter %llu but %zu live + %llu tombstone slots",
+               static_cast<ULL>(Table.UsedCounter), Table.Entries.size(),
+               static_cast<ULL>(Table.Tombstones));
+}
+
 void check::checkSharedIndex(const SharedIndexState &Index,
                              const CodeCacheState &Cache,
                              AuditReport &Report) {
@@ -701,52 +749,65 @@ void check::checkContentIndex(const ContentIndexState &Index,
                static_cast<ULL>(Index.LiveLinks));
 }
 
-// --- Facade --------------------------------------------------------------
+// --- Audits of live structures ------------------------------------------
 
-AuditReport CacheAuditor::auditCache(const CodeCache &Cache) const {
+namespace {
+
+/// Placement, then chaining if \p Engine chains, then \p Stats: the rule
+/// sequence of every engine audit. Returns the placement snapshot for the
+/// callers that reconcile more structures against residency.
+CodeCacheState checkEngine(const CacheEngine &Engine, const StatsState &Stats,
+                           AuditReport &Report) {
+  CodeCacheState Cache = captureCodeCache(Engine.cache());
+  checkCodeCache(Cache, Report);
+  if (Engine.config().EnableChaining)
+    checkLinkGraph(captureLinkGraph(Engine.links()), Cache, Report);
+  checkStats(Stats, Report);
+  return Cache;
+}
+
+} // namespace
+
+AuditReport check::auditCache(const CodeCache &Cache) {
   AuditReport Report;
   checkCodeCache(captureCodeCache(Cache), Report);
   return Report;
 }
 
-AuditReport CacheAuditor::auditLinks(const LinkGraph &Links,
-                                     const CodeCache &Cache) const {
+AuditReport check::auditLinks(const LinkGraph &Links, const CodeCache &Cache) {
   AuditReport Report;
   checkLinkGraph(captureLinkGraph(Links), captureCodeCache(Cache), Report);
   return Report;
 }
 
-AuditReport CacheAuditor::auditFreeList(const FreeListCache &Cache) const {
+AuditReport check::auditFreeList(const FreeListCache &Cache) {
   AuditReport Report;
   checkFreeList(captureFreeList(Cache), Report);
   return Report;
 }
 
-AuditReport
-CacheAuditor::auditGenerational(const GenerationalCache &Gen) const {
+AuditReport check::auditGenerational(const GenerationalCache &Gen) {
   AuditReport Report;
   checkGenerational(captureCodeCache(Gen.nursery()),
                     captureCodeCache(Gen.tenured()), Report);
   return Report;
 }
 
-AuditReport CacheAuditor::auditManager(const CacheEngine &Manager) const {
+AuditReport check::auditDispatchTable(const DispatchTable &Table) {
   AuditReport Report;
-  const CodeCacheState Cache = captureCodeCache(Manager.cache());
-  checkCodeCache(Cache, Report);
-  if (Manager.config().EnableChaining)
-    checkLinkGraph(captureLinkGraph(Manager.links()), Cache, Report);
-  checkStats(captureStats(Manager), Report);
+  checkDispatchProbes(captureDispatchProbes(Table), Report);
+  return Report;
+}
+
+AuditReport check::auditEngine(const CacheEngine &Engine) {
+  AuditReport Report;
+  checkEngine(Engine, captureStats(Engine), Report);
   return Report;
 }
 
 AuditReport check::auditSharedEngine(const SharedCacheEngine &Engine) {
   AuditReport Report;
   const CacheEngine &Inner = Engine.engineForAudit();
-  const CodeCacheState Cache = captureCodeCache(Inner.cache());
-  checkCodeCache(Cache, Report);
-  if (Inner.config().EnableChaining)
-    checkLinkGraph(captureLinkGraph(Inner.links()), Cache, Report);
   StatsState Stats = captureStats(Inner);
   if (Engine.mode() == ShareMode::Concurrent && Stats.Stats.Accesses == 0) {
     // Mid-run deferred accounting: Accesses/Hits live outside the engine
@@ -756,27 +817,25 @@ AuditReport check::auditSharedEngine(const SharedCacheEngine &Engine) {
     Stats.Stats.Hits += Engine.provisionalHits();
     Stats.Stats.Accesses = Stats.Stats.Misses + Stats.Stats.Hits;
   }
-  checkStats(Stats, Report);
+  const CodeCacheState Cache = checkEngine(Inner, Stats, Report);
   checkSharedIndex(Engine.indexSnapshot(), Cache, Report);
   return Report;
 }
 
-AuditReport CacheAuditor::auditTranslator(const Translator &T) const {
+AuditReport check::auditTranslator(const Translator &T) {
   AuditReport Report;
-  // Superblock tier: full manager audit plus its dispatch table.
-  const CodeCacheState Main = captureCodeCache(T.cache());
-  checkCodeCache(Main, Report);
-  if (T.config().EnableChaining)
-    checkLinkGraph(captureLinkGraph(T.links()), Main, Report);
-  checkStats(captureStats(T.engine()), Report);
-  checkDispatchTable(captureDispatchTable(T, /*BasicBlockTier=*/false), Main,
-                     Report);
-  // Basic-block tier (all-zero and trivially clean when unused; chaining
-  // is always off there).
-  const CodeCacheState BB = captureCodeCache(T.basicBlockCache());
-  checkCodeCache(BB, Report);
-  checkStats(captureStats(T.basicBlockEngine()), Report);
-  checkDispatchTable(captureDispatchTable(T, /*BasicBlockTier=*/true), BB,
-                     Report);
+  // Both tiers: the engine audit plus the tier's dispatch table (the
+  // basic-block tier is all-zero and trivially clean when unused;
+  // chaining is always off there).
+  for (const bool BasicBlockTier : {false, true}) {
+    const CacheEngine &Engine =
+        BasicBlockTier ? T.basicBlockEngine() : T.engine();
+    const CodeCacheState Cache =
+        checkEngine(Engine, captureStats(Engine), Report);
+    checkDispatchTable(captureDispatchTable(T, BasicBlockTier), Cache,
+                       Report);
+    Report.merge(auditDispatchTable(BasicBlockTier ? T.basicBlockDispatchTable()
+                                                   : T.dispatchTable()));
+  }
   return Report;
 }

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exhaustive consistency validation of the cache data structures. Where
-/// the in-class checkInvariants() predicates answer yes/no, the auditor
-/// explains: every broken invariant becomes an AuditViolation with a
-/// stable rule id, offending ids, and a fix hint.
+/// Exhaustive consistency validation of the cache data structures, and
+/// the one home of their structural invariants: every broken invariant
+/// becomes an AuditViolation with a stable rule id, offending ids, and a
+/// fix hint. The structures themselves carry no checking predicates.
 ///
 /// The auditor is split into two layers so corruption can be tested
 /// without mutating encapsulated live structures:
@@ -18,7 +18,7 @@
 ///   check*()    run the rules over a snapshot (tests forge corrupted
 ///               snapshots and assert the exact rule id reported).
 ///
-/// audit*() composes the two for live structures, and auditManager() adds
+/// audit*() composes the two for live structures. The engine audits add
 /// the cross-structure reconciliation: links against residency (section
 /// 4.3 back-pointer mirroring), and CacheStats counters against observed
 /// structure (inserts - evictions = residents, byte accounting exact).
@@ -41,6 +41,7 @@
 #include <vector>
 
 namespace ccsim {
+class DispatchTable;
 class Translator;
 } // namespace ccsim
 
@@ -82,6 +83,7 @@ struct FreeListState {
     SuperblockId Id = 0;
     uint64_t Start = 0;
     uint32_t Size = 0;
+    SuperblockId LruEntry = 0; ///< Id at the slot's LRU list position.
   };
   std::vector<Extent> Free;   ///< In free-list order.
   std::vector<Alloc> Allocs;  ///< Resident slots, by id.
@@ -98,6 +100,21 @@ struct DispatchTableState {
   };
   std::vector<Entry> Entries;   ///< Live entries, in slot order.
   std::vector<uint32_t> PCById; ///< Entry PC per fragment id.
+};
+
+/// Snapshot of one DispatchTable's own bookkeeping, independent of any
+/// cache: each live entry with where probing its PC lands, plus the
+/// Live/Used counters against what the slot walk counts.
+struct DispatchProbeState {
+  struct Entry {
+    uint32_t PC = 0;
+    int32_t Fragment = 0; ///< Fragment index stored in the slot.
+    int32_t Probed = 0;   ///< What lookup(PC) returns for this PC.
+  };
+  std::vector<Entry> Entries; ///< Live entries, in slot order.
+  uint64_t Tombstones = 0;    ///< Tombstone slots seen by the walk.
+  uint64_t LiveCounter = 0;   ///< DispatchTable::size().
+  uint64_t UsedCounter = 0;   ///< DispatchTable::usedSlots().
 };
 
 /// Snapshot of a SharedContentIndex (cross-tenant content sharing). One
@@ -136,6 +153,7 @@ FreeListState captureFreeList(const FreeListCache &Cache);
 StatsState captureStats(const CacheEngine &Manager);
 DispatchTableState captureDispatchTable(const Translator &T,
                                         bool BasicBlockTier);
+DispatchProbeState captureDispatchProbes(const DispatchTable &Table);
 ContentIndexState captureContentIndex(const SharedContentIndex &Index);
 
 // --- Rule evaluation over snapshots -------------------------------------
@@ -149,6 +167,8 @@ void checkGenerational(const CodeCacheState &Nursery,
 void checkStats(const StatsState &State, AuditReport &Report);
 void checkDispatchTable(const DispatchTableState &Table,
                         const CodeCacheState &Cache, AuditReport &Report);
+void checkDispatchProbes(const DispatchProbeState &Table,
+                         AuditReport &Report);
 void checkSharedIndex(const SharedIndexState &Index,
                       const CodeCacheState &Cache, AuditReport &Report);
 
@@ -160,8 +180,35 @@ void checkContentIndex(const ContentIndexState &Index,
                        const std::vector<CodeCacheState> &Caches,
                        const CacheStats &Merged, AuditReport &Report);
 
+// --- Audits of live structures (capture + check) -------------------------
+
+/// Placement invariants of one circular-buffer cache.
+AuditReport auditCache(const CodeCache &Cache);
+
+/// Chaining invariants of \p Links against residency in \p Cache:
+/// back-pointer mirroring, no link into evicted blocks, wants index
+/// completeness (paper section 4.3 / Figure 13).
+AuditReport auditLinks(const LinkGraph &Links, const CodeCache &Cache);
+
+/// Arena invariants of the section 3.3 free-list cache: extents tile the
+/// arena with no overlap or leak, address order, coalescing, LRU list and
+/// per-slot LRU positions match residency.
+AuditReport auditFreeList(const FreeListCache &Cache);
+
+/// Generation exclusivity plus per-generation placement invariants.
+AuditReport auditGenerational(const GenerationalCache &Gen);
+
+/// A dispatch table's own bookkeeping: every live entry is reachable by
+/// probing its PC, and the Live/Used counters match the slots.
+AuditReport auditDispatchTable(const DispatchTable &Table);
+
+/// Full cross-structure audit of a CacheEngine: placement, chaining (when
+/// enabled), and stats reconciliation (inserts - evictions = residents,
+/// byte accounting exact, link creation/destruction balance).
+AuditReport auditEngine(const CacheEngine &Engine);
+
 /// Full cross-structure audit of a quiescent SharedCacheEngine: the
-/// auditManager rule set over the inner engine -- with the deferred
+/// auditEngine rule set over the inner engine -- with the deferred
 /// Accesses/Hits counters patched to their provisional totals so the
 /// conservation identities hold mid-run -- plus the shared.* family
 /// tying the sharded residency index to CodeCache placement. Only sound
@@ -169,38 +216,11 @@ void checkContentIndex(const ContentIndexState &Index,
 /// flight); the runners call it exactly there.
 AuditReport auditSharedEngine(const SharedCacheEngine &Engine);
 
-/// Facade running capture + check over live structures. Stateless; the
-/// free functions above are its building blocks and the testing surface.
-class CacheAuditor {
-public:
-  /// Placement invariants of one circular-buffer cache.
-  AuditReport auditCache(const CodeCache &Cache) const;
-
-  /// Chaining invariants of \p Links against residency in \p Cache:
-  /// back-pointer mirroring, no link into evicted blocks, wants index
-  /// completeness (paper section 4.3 / Figure 13).
-  AuditReport auditLinks(const LinkGraph &Links,
-                         const CodeCache &Cache) const;
-
-  /// Arena invariants of the section 3.3 free-list cache: extents tile
-  /// the arena with no overlap or leak, address order, coalescing, LRU
-  /// list matches residency.
-  AuditReport auditFreeList(const FreeListCache &Cache) const;
-
-  /// Generation exclusivity plus per-generation placement invariants.
-  AuditReport auditGenerational(const GenerationalCache &Gen) const;
-
-  /// Full cross-structure audit of a CacheEngine: placement, chaining,
-  /// and stats reconciliation (inserts - evictions = residents, byte
-  /// accounting exact, link creation/destruction balance).
-  AuditReport auditManager(const CacheEngine &Manager) const;
-
-  /// Full cross-structure audit of a running Translator: auditManager
-  /// over both tier engines plus the dispatch.* family tying each
-  /// DispatchTable to its tier's residency (Figure 1's hash table must
-  /// mirror the code cache exactly).
-  AuditReport auditTranslator(const Translator &T) const;
-};
+/// Full cross-structure audit of a running Translator: auditEngine over
+/// both tier engines plus, per tier, the dispatch.* family tying the
+/// DispatchTable to the tier's residency (Figure 1's hash table must
+/// mirror the code cache exactly) and auditDispatchTable.
+AuditReport auditTranslator(const Translator &T);
 
 } // namespace ccsim::check
 

@@ -36,7 +36,7 @@ void check::armAuditor(CacheEngine &Manager, ParanoiaOptions Options) {
   Manager.setAuditLevel(Options.Level);
   Manager.setAuditHook(
       [Options](const CacheEngine &M, const char *Where) {
-        handleReport(CacheAuditor().auditManager(M), Where, Options);
+        handleReport(auditEngine(M), Where, Options);
       });
 }
 
@@ -50,7 +50,7 @@ void check::armSharedTenancyAuditors(
     Manager->setAuditLevel(Options.Level);
     Manager->setAuditHook([Options, Managers, &Index](const CacheEngine &M,
                                                       const char *Where) {
-      AuditReport Report = CacheAuditor().auditManager(M);
+      AuditReport Report = auditEngine(M);
       std::vector<CodeCacheState> Caches;
       Caches.reserve(Managers.size());
       CacheStats Merged;
@@ -68,7 +68,7 @@ void check::armAuditor(Translator &T, ParanoiaOptions Options) {
   // One hook audits the whole translator regardless of which tier engine
   // triggered it; the engine argument is ignored on purpose.
   const auto Hook = [Options, &T](const CacheEngine &, const char *Where) {
-    handleReport(CacheAuditor().auditTranslator(T), Where, Options);
+    handleReport(auditTranslator(T), Where, Options);
   };
   T.engine().setAuditLevel(Options.Level);
   T.engine().setAuditHook(Hook);

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Glue between CacheEngine's generic audit hook and the deep
-/// CacheAuditor. ccsim_core deliberately knows nothing about ccsim_check
-/// (the hook is a plain std::function); this header is what the layers
-/// that may link ccsim_check — sim, concurrent, tests, the CLI — call to
-/// turn paranoid validation on.
+/// Glue between CacheEngine's generic audit hook and the deep audits of
+/// check/CacheAuditor.h. ccsim_core deliberately knows nothing about
+/// ccsim_check (the hook is a plain std::function); this header is what
+/// the layers that may link ccsim_check — sim, concurrent, tests, the CLI
+/// — call to turn paranoid validation on.
 ///
 /// In a CCSIM_PARANOID build (cmake -DCCSIM_PARANOID=ON) the config
 /// structs default their audit level to Full, so arming makes every
@@ -54,20 +54,20 @@ struct ParanoiaOptions {
   ViolationHandler OnViolation;
 };
 
-/// Installs the deep auditor (CacheAuditor::auditManager after every
-/// mutation the level covers) on \p Manager.
+/// Installs the deep auditor (check::auditEngine after every mutation the
+/// level covers) on \p Manager.
 void armAuditor(CacheEngine &Manager, ParanoiaOptions Options = {});
 
 /// Installs the deep auditor on both tier engines of a live translator:
 /// every install the level covers re-audits the whole DBT state
-/// (CacheAuditor::auditTranslator — placement, chaining, stats, and the
-/// dispatch.* table-vs-residency family). \p T must outlive its engines'
+/// (check::auditTranslator — placement, chaining, stats, and the
+/// dispatch.* family). \p T must outlive its engines'
 /// hooks, which it does by construction.
 void armAuditor(Translator &T, ParanoiaOptions Options = {});
 
 /// Installs the deep auditor on a fleet of managers coupled by one
 /// cross-tenant content index: every mutation the level covers audits the
-/// triggering manager (CacheAuditor::auditManager) and then the share.*
+/// triggering manager (check::auditEngine) and then the share.*
 /// family over \p Index against *all* the managers' caches plus their
 /// merged stats — orphan representatives and resident aliases are
 /// cross-manager properties, so auditing one cache in isolation cannot

@@ -322,11 +322,3 @@ void CacheEngine::flushEntireCache() {
   chargeEvictions(Units);
   maybeAudit(true, "flush");
 }
-
-bool CacheEngine::checkInvariants() const {
-  if (!Cache.checkInvariants())
-    return false;
-  if (Config.EnableChaining && !Links.checkInvariants(Cache))
-    return false;
-  return true;
-}

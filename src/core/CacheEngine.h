@@ -207,9 +207,6 @@ public:
     return Id < TenantById.size() ? TenantById[Id] : 0;
   }
 
-  /// Cross-checks CodeCache and LinkGraph invariants (tests).
-  bool checkInvariants() const;
-
   /// Whether the most recent access() created a *new* share link (its
   /// AccessKind::SharedHit was the first time this (tenant, id) resolved
   /// to the shared copy — a shared install). Multi-tenant drivers use

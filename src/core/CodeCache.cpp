@@ -123,43 +123,3 @@ void CodeCache::flushAll(std::vector<Resident> &EvictedOut) {
     EvictedOut.push_back(evictFront());
   Tail = 0;
 }
-
-bool CodeCache::checkInvariants() const {
-  // Occupancy bookkeeping.
-  uint64_t SumBytes = 0;
-  size_t FlaggedResident = 0;
-  for (size_t Id = 0; Id < ResidentFlag.size(); ++Id)
-    if (ResidentFlag[Id])
-      ++FlaggedResident;
-  if (FlaggedResident != Fifo.size())
-    return false;
-
-  std::vector<std::pair<uint64_t, uint64_t>> Ranges;
-  Ranges.reserve(Fifo.size());
-  for (const Resident &R : Fifo) {
-    if (R.Size == 0 || R.end() > Capacity)
-      return false; // Blocks must not wrap past the buffer end.
-    if (!contains(R.Id) || StartById[R.Id] != R.Start ||
-        SizeById[R.Id] != R.Size)
-      return false;
-    SumBytes += R.Size;
-    Ranges.emplace_back(R.Start, R.end());
-  }
-  if (SumBytes != Occupied || Occupied > Capacity)
-    return false;
-
-  // No two residents overlap.
-  std::sort(Ranges.begin(), Ranges.end());
-  for (size_t I = 1; I < Ranges.size(); ++I)
-    if (Ranges[I].first < Ranges[I - 1].second)
-      return false;
-
-  // FIFO starts must be cyclically increasing: at most one wrap point.
-  size_t Wraps = 0;
-  for (size_t I = 1; I < Fifo.size(); ++I)
-    if (Fifo[I].Start < Fifo[I - 1].Start)
-      ++Wraps;
-  if (Wraps > 1)
-    return false;
-  return true;
-}

@@ -118,14 +118,10 @@ public:
   }
 
   /// Size of the dense per-id lookup tables; ids >= this were never
-  /// inserted. Lets auditors enumerate the residency flags independently
-  /// of the FIFO (check/CacheAuditor cross-checks the two views).
+  /// inserted. Lets check::captureCodeCache enumerate the residency flags
+  /// independently of the FIFO, so the cache.* rules can cross-check the
+  /// two views.
   size_t idTableSize() const { return ResidentFlag.size(); }
-
-  /// Exhaustive internal consistency check for tests: flags match the
-  /// FIFO contents, occupancy sums match, no overlapping placements, and
-  /// no block wraps past the end of the buffer.
-  bool checkInvariants() const;
 
 private:
   uint64_t Capacity;

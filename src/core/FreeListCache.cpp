@@ -158,53 +158,3 @@ bool FreeListCache::insert(SuperblockId Id, uint32_t SizeBytes,
     evictLru(EvictedOut);
   }
 }
-
-bool FreeListCache::checkInvariants() const {
-  // Residency bookkeeping and LRU membership.
-  size_t ResidentCount = 0;
-  uint64_t ResidentBytes = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> Ranges;
-  for (size_t Id = 0; Id < Slots.size(); ++Id) {
-    if (!Slots[Id].Resident)
-      continue;
-    ++ResidentCount;
-    ResidentBytes += Slots[Id].Size;
-    if (Slots[Id].Start + Slots[Id].Size > Capacity)
-      return false;
-    if (*Slots[Id].LruPos != static_cast<SuperblockId>(Id))
-      return false;
-    Ranges.emplace_back(Slots[Id].Start,
-                        Slots[Id].Start + Slots[Id].Size);
-  }
-  if (ResidentCount != LruList.size() || ResidentBytes != Occupied)
-    return false;
-
-  // Free list: ordered, coalesced, in-bounds, non-empty holes.
-  uint64_t FreeBytesSum = 0;
-  for (size_t I = 0; I < FreeList.size(); ++I) {
-    if (FreeList[I].Size == 0 ||
-        FreeList[I].Start + FreeList[I].Size > Capacity)
-      return false;
-    FreeBytesSum += FreeList[I].Size;
-    if (I > 0) {
-      if (FreeList[I - 1].Start >= FreeList[I].Start)
-        return false;
-      if (FreeList[I - 1].Start + FreeList[I - 1].Size >= FreeList[I].Start)
-        return false; // Overlapping or uncoalesced.
-    }
-    Ranges.emplace_back(FreeList[I].Start,
-                        FreeList[I].Start + FreeList[I].Size);
-  }
-  if (FreeBytesSum != Capacity - Occupied)
-    return false;
-
-  // Allocations + holes tile the arena exactly.
-  std::sort(Ranges.begin(), Ranges.end());
-  uint64_t Cursor = 0;
-  for (const auto &[Start, End] : Ranges) {
-    if (Start != Cursor)
-      return false;
-    Cursor = End;
-  }
-  return Cursor == Capacity;
-}

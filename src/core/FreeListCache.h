@@ -116,10 +116,12 @@ public:
       Visit(Id);
   }
 
-  /// Exhaustive structural check for tests: no overlapping allocations,
-  /// free list is address-ordered, coalesced, and complementary to the
-  /// allocations; LRU list matches residency.
-  bool checkInvariants() const;
+  /// Auditor introspection: the id stored at resident \p Id's LRU list
+  /// position (it must be \p Id itself).
+  SuperblockId lruEntryOf(SuperblockId Id) const {
+    CCSIM_ASSERT(contains(Id), "block %u is not resident", Id);
+    return *Slots[Id].LruPos;
+  }
 
 private:
   struct Hole {

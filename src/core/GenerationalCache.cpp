@@ -100,15 +100,3 @@ AccessKind GenerationalCache::access(const SuperblockRecord &Rec) {
   Stats.InsertedBytes += Rec.SizeBytes;
   return AccessKind::Miss;
 }
-
-bool GenerationalCache::checkInvariants() const {
-  if (!Nursery.checkInvariants() || !Tenured.checkInvariants())
-    return false;
-  // Exclusive residency.
-  bool Ok = true;
-  Nursery.forEachResident([&](const CodeCache::Resident &R) {
-    if (Tenured.contains(R.Id))
-      Ok = false;
-  });
-  return Ok;
-}

@@ -60,10 +60,6 @@ public:
   uint64_t nurseryEvictions() const { return NurseryEvictions; }
   uint64_t tenuredEvictions() const { return TenuredEvictions; }
 
-  /// A block must reside in at most one generation; caches must be
-  /// individually consistent.
-  bool checkInvariants() const;
-
 private:
   GenerationalConfig Config;
   CodeCache Nursery;

@@ -4,7 +4,6 @@
 #include "support/Contracts.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace ccsim;
 
@@ -150,77 +149,4 @@ bool LinkGraph::hasLink(SuperblockId From, SuperblockId To) const {
     return false;
   return std::find(OutLinks[From].begin(), OutLinks[From].end(), To) !=
          OutLinks[From].end();
-}
-
-bool LinkGraph::checkInvariants(const CodeCache &Cache) const {
-  uint64_t OutTotal = 0, InTotal = 0;
-  std::map<std::pair<SuperblockId, SuperblockId>, int64_t> Mirror;
-
-  for (SuperblockId Id = 0; Id < StaticEdges.size(); ++Id) {
-    const bool IsResident = Cache.contains(Id);
-    if (!IsResident) {
-      if (!StaticEdges[Id].empty() || !OutLinks[Id].empty() ||
-          !InLinks[Id].empty())
-        return false;
-      continue;
-    }
-    OutTotal += OutLinks[Id].size();
-    InTotal += InLinks[Id].size();
-    for (SuperblockId T : OutLinks[Id]) {
-      if (!Cache.contains(T))
-        return false; // Dangling link!
-      ++Mirror[{Id, T}];
-    }
-    for (SuperblockId S : InLinks[Id]) {
-      if (!Cache.contains(S))
-        return false; // Back pointer to a dead block.
-      --Mirror[{S, Id}];
-    }
-  }
-  if (OutTotal != LinkCount || InTotal != LinkCount)
-    return false;
-  for (const auto &Entry : Mirror)
-    if (Entry.second != 0)
-      return false; // In/out lists disagree.
-
-  // Wants entries: only for absent targets, only from resident sources.
-  for (SuperblockId Target = 0; Target < Wants.size(); ++Target) {
-    if (Wants[Target].empty())
-      continue;
-    if (Cache.contains(Target))
-      return false; // Should have been drained at insert.
-    for (SuperblockId Source : Wants[Target])
-      if (!Cache.contains(Source))
-        return false;
-  }
-
-  // Every static edge of every resident block is either a materialized
-  // link (resident target) or a wants entry (absent target), with
-  // matching multiplicity.
-  for (SuperblockId Id = 0; Id < StaticEdges.size(); ++Id) {
-    if (!Cache.contains(Id))
-      continue;
-    for (SuperblockId T : StaticEdges[Id]) {
-      const auto CountIn = [](const std::vector<SuperblockId> &L,
-                              SuperblockId V) {
-        return std::count(L.begin(), L.end(), V);
-      };
-      const int64_t EdgeCount = CountIn(StaticEdges[Id], T);
-      if (Cache.contains(T)) {
-        if (CountIn(OutLinks[Id], T) != EdgeCount)
-          return false;
-      } else {
-        if (T < Wants.size() && CountIn(Wants[T], Id) != EdgeCount)
-          return false;
-        if (T >= Wants.size())
-          return false;
-      }
-    }
-    // No materialized link without a static edge.
-    for (SuperblockId T : OutLinks[Id])
-      if (std::find(StaticEdges[Id].begin(), StaticEdges[Id].end(), T) ==
-          StaticEdges[Id].end())
-        return false;
-  }
-  return true;
 }

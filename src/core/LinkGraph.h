@@ -97,13 +97,6 @@ public:
     return listOrEmpty(Wants, Id);
   }
 
-  /// Exhaustive consistency check against \p Cache for tests: every link
-  /// endpoint resident, in/out lists mirror each other, every static edge
-  /// of a resident block is either materialized (target resident) or
-  /// recorded in the wants index (target absent), and the link count
-  /// matches.
-  bool checkInvariants(const CodeCache &Cache) const;
-
 private:
   // Dense per-id state; index by SuperblockId.
   std::vector<std::vector<SuperblockId>> StaticEdges;

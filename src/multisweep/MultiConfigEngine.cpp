@@ -252,22 +252,20 @@ std::vector<SimResult> MultiConfigEngine::run() {
 }
 
 check::AuditReport MultiConfigEngine::auditSharedStructures() const {
-  check::CacheAuditor Auditor;
   check::AuditReport Report;
   for (const SharedState &S : Shared) {
-    Report.merge(Auditor.auditCache(S.Engine->cache()));
+    Report.merge(check::auditCache(S.Engine->cache()));
     if (S.Engine->config().EnableChaining)
-      Report.merge(Auditor.auditLinks(S.Engine->links(), S.Engine->cache()));
+      Report.merge(check::auditLinks(S.Engine->links(), S.Engine->cache()));
   }
   return Report;
 }
 
 check::AuditReport MultiConfigEngine::auditSettled() const {
   CCSIM_REQUIRE(Ran, "auditSettled needs settled counters (call run first)");
-  check::CacheAuditor Auditor;
   check::AuditReport Report;
   for (const SharedState &S : Shared)
-    Report.merge(Auditor.auditManager(*S.Engine));
+    Report.merge(check::auditEngine(*S.Engine));
   return Report;
 }
 

@@ -81,18 +81,3 @@ void DispatchTable::grow() {
     if (S.State == SlotState::Live)
       insert(S.PC, S.Fragment);
 }
-
-bool DispatchTable::checkInvariants() const {
-  size_t CountedLive = 0, CountedUsed = 0;
-  for (const Slot &S : Slots) {
-    if (S.State != SlotState::Empty)
-      ++CountedUsed;
-    if (S.State != SlotState::Live)
-      continue;
-    ++CountedLive;
-    unsigned Probes = 0;
-    if (lookup(S.PC, Probes) != S.Fragment)
-      return false;
-  }
-  return CountedLive == Live && CountedUsed == Used;
-}

@@ -41,17 +41,17 @@ public:
 
   size_t size() const { return Live; }
 
-  /// Visits every live entry as (PC, FragmentIndex), in slot order.
-  /// Audit introspection; the table must not be mutated during the walk.
-  template <typename Fn> void forEachLive(Fn &&Visit) const {
-    for (const Slot &S : Slots)
-      if (S.State == SlotState::Live)
-        Visit(S.PC, S.Fragment);
-  }
+  /// Live entries plus tombstones: the slots a probe may have to pass.
+  size_t usedSlots() const { return Used; }
 
-  /// Structural check for tests: every live entry is findable and counts
-  /// match.
-  bool checkInvariants() const;
+  /// Visits every non-empty slot as (PC, FragmentIndex, IsLive), in slot
+  /// order; tombstones have IsLive false. Audit introspection; the table
+  /// must not be mutated during the walk.
+  template <typename Fn> void forEachUsed(Fn &&Visit) const {
+    for (const Slot &S : Slots)
+      if (S.State != SlotState::Empty)
+        Visit(S.PC, S.Fragment, S.State == SlotState::Live);
+  }
 
 private:
   enum class SlotState : uint8_t { Empty, Live, Tombstone };

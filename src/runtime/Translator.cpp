@@ -547,25 +547,3 @@ Trace Translator::exportTrace() const {
   CCSIM_ASSERT(T.validate(), "exported trace must be structurally valid");
   return T;
 }
-
-bool Translator::checkInvariants() const {
-  // Cache/link structure lives in the engines; what remains here is the
-  // dispatch-table consistency the check library audits as dispatch.*.
-  if (!Engine.checkInvariants() || !BBEngine.checkInvariants())
-    return false;
-  if (!Table.checkInvariants() || !BBTable.checkInvariants())
-    return false;
-  if (Table.size() != Engine.cache().residentCount())
-    return false;
-  if (BBTable.size() != BBEngine.cache().residentCount())
-    return false;
-  // Every resident fragment is reachable through the table at its PC.
-  bool Ok = true;
-  Engine.cache().forEachResident([&](const CodeCache::Resident &R) {
-    unsigned Probes = 0;
-    const int32_t Slot = Table.lookup(PCById[R.Id], Probes);
-    if (Slot < 0 || Fragments[static_cast<size_t>(Slot)].Id != R.Id)
-      Ok = false;
-  });
-  return Ok;
-}

@@ -141,7 +141,7 @@ public:
   uint32_t entryPCOf(SuperblockId Id) const { return PCById[Id]; }
 
   /// Fragment id stored at dispatch-table slot \p Slot (audit
-  /// introspection; pairs with DispatchTable::forEachLive).
+  /// introspection; pairs with DispatchTable::forEachUsed).
   SuperblockId fragmentIdAtSlot(int32_t Slot) const {
     return Fragments[static_cast<size_t>(Slot)].Id;
   }
@@ -152,12 +152,6 @@ public:
   /// dropped. The result passes Trace::validate() and can drive the
   /// trace simulator directly.
   Trace exportTrace() const;
-
-  /// Cross-checks cache/table/link invariants (tests). Structure checks
-  /// now live in the engines; what remains here is the dispatch-table
-  /// consistency the check library also audits rule-by-rule
-  /// (check::checkDispatchTable).
-  bool checkInvariants() const;
 
 private:
   const Program &Prog;

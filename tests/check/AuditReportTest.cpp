@@ -35,6 +35,7 @@ constexpr AuditRule AllRules[] = {
     AuditRule::FreeListArenaLeak,
     AuditRule::FreeListOccupancyMismatch,
     AuditRule::FreeListLruMismatch,
+    AuditRule::FreeListLruPositionStale,
     AuditRule::GenerationalDualResidency,
     AuditRule::StatsAccessSplitMismatch,
     AuditRule::StatsResidencyMismatch,
@@ -46,6 +47,16 @@ constexpr AuditRule AllRules[] = {
     AuditRule::DispatchEntryStale,
     AuditRule::DispatchResidentUnreachable,
     AuditRule::DispatchSizeMismatch,
+    AuditRule::DispatchProbeUnreachable,
+    AuditRule::DispatchCounterDrift,
+    AuditRule::SharedIndexStaleEntry,
+    AuditRule::SharedIndexMissingEntry,
+    AuditRule::SharedIndexRegionMismatch,
+    AuditRule::ShareRefCountMismatch,
+    AuditRule::ShareOrphanEntry,
+    AuditRule::ShareAliasResident,
+    AuditRule::ShareMirrorMismatch,
+    AuditRule::ShareStatsConservation,
 };
 
 } // namespace
@@ -111,6 +122,26 @@ TEST(AuditReportTest, RuleIdsAreStable) {
                "dispatch.resident-unreachable");
   EXPECT_STREQ(ruleId(AuditRule::DispatchSizeMismatch),
                "dispatch.size-mismatch");
+  EXPECT_STREQ(ruleId(AuditRule::SharedIndexStaleEntry),
+               "shared.index-stale-entry");
+  EXPECT_STREQ(ruleId(AuditRule::SharedIndexMissingEntry),
+               "shared.index-missing-entry");
+  EXPECT_STREQ(ruleId(AuditRule::SharedIndexRegionMismatch),
+               "shared.index-region-mismatch");
+  EXPECT_STREQ(ruleId(AuditRule::ShareRefCountMismatch),
+               "share.refcount-mismatch");
+  EXPECT_STREQ(ruleId(AuditRule::ShareOrphanEntry), "share.orphan-entry");
+  EXPECT_STREQ(ruleId(AuditRule::ShareAliasResident), "share.alias-resident");
+  EXPECT_STREQ(ruleId(AuditRule::ShareMirrorMismatch),
+               "share.mirror-mismatch");
+  EXPECT_STREQ(ruleId(AuditRule::ShareStatsConservation),
+               "share.stats-conservation");
+  EXPECT_STREQ(ruleId(AuditRule::FreeListLruPositionStale),
+               "freelist.lru-position-stale");
+  EXPECT_STREQ(ruleId(AuditRule::DispatchProbeUnreachable),
+               "dispatch.probe-unreachable");
+  EXPECT_STREQ(ruleId(AuditRule::DispatchCounterDrift),
+               "dispatch.counter-drift");
 }
 
 TEST(AuditReportTest, RuleIdsAreUniqueAndHintsNonEmpty) {

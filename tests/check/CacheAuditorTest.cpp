@@ -10,13 +10,16 @@
 
 #include "check/CacheAuditor.h"
 
+#include "../support/AuditAssert.h"
 #include "isa/ProgramGenerator.h"
+#include "runtime/DispatchTable.h"
 #include "runtime/Translator.h"
 #include "support/Random.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
 using namespace ccsim::check;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -77,7 +80,7 @@ FreeListState cleanArena() {
   FreeListState State;
   State.Capacity = 1000;
   State.OccupiedBytes = 300;
-  State.Allocs = {{0, 0, 100}, {1, 100, 200}};
+  State.Allocs = {{0, 0, 100, 0}, {1, 100, 200, 1}};
   State.Free = {{300, 700}};
   State.LruOrder = {0, 1};
   return State;
@@ -146,13 +149,10 @@ TEST(CacheAuditorTest, LiveManagerAuditsCleanUnderEveryGranularity) {
       Manager.access(rec(Id, 64 + static_cast<uint32_t>(R.nextBelow(400)),
                          Edges));
       if (I % 500 == 0) {
-        const AuditReport Report = CacheAuditor().auditManager(Manager);
-        EXPECT_TRUE(Report.clean()) << Spec.label() << "\n"
-                                    << Report.render();
+        EXPECT_TRUE(auditsClean(auditEngine(Manager))) << Spec.label();
       }
     }
-    const AuditReport Final = CacheAuditor().auditManager(Manager);
-    EXPECT_TRUE(Final.clean()) << Spec.label() << "\n" << Final.render();
+    EXPECT_TRUE(auditsClean(auditEngine(Manager))) << Spec.label();
   }
 }
 
@@ -171,8 +171,7 @@ TEST(CacheAuditorTest, LiveFreeListAuditsClean) {
                      Evicted);
       }
       if (I % 250 == 0) {
-        const AuditReport Report = CacheAuditor().auditFreeList(Cache);
-        EXPECT_TRUE(Report.clean()) << Report.render();
+        EXPECT_TRUE(auditsClean(auditFreeList(Cache)));
       }
     }
   }
@@ -187,8 +186,7 @@ TEST(CacheAuditorTest, LiveGenerationalAuditsClean) {
     Manager.access(rec(static_cast<SuperblockId>(R.nextBelow(120)),
                        64 + static_cast<uint32_t>(R.nextBelow(300))));
     if (I % 250 == 0) {
-      const AuditReport Report = CacheAuditor().auditGenerational(Manager);
-      EXPECT_TRUE(Report.clean()) << Report.render();
+      EXPECT_TRUE(auditsClean(auditGenerational(Manager)));
     }
   }
 }
@@ -444,6 +442,14 @@ TEST(CacheAuditorCorruptionTest, LruGhostEntry) {
   EXPECT_TRUE(auditOf(State).has(AuditRule::FreeListLruMismatch));
 }
 
+TEST(CacheAuditorCorruptionTest, LruPositionPointsAtAnotherBlock) {
+  FreeListState State = cleanArena();
+  State.Allocs[1].LruEntry = 0; // Touching 1 would splice block 0's entry.
+  const AuditReport Report = auditOf(State);
+  EXPECT_EQ(Report.countOf(AuditRule::FreeListLruPositionStale), 1u);
+  EXPECT_FALSE(Report.has(AuditRule::FreeListLruMismatch));
+}
+
 // --- Seeded corruption: generational rule --------------------------------
 
 TEST(CacheAuditorCorruptionTest, DualResidency) {
@@ -582,6 +588,53 @@ TEST(CacheAuditorCorruptionTest, DispatchDuplicateEntry) {
   EXPECT_FALSE(Report.has(AuditRule::DispatchResidentUnreachable));
 }
 
+namespace {
+
+/// Three live entries every probe reaches, one tombstone, counters exact.
+DispatchProbeState cleanProbes() {
+  DispatchProbeState State;
+  State.Entries = {{0x100, 0, 0}, {0x200, 1, 1}, {0x300, 2, 2}};
+  State.Tombstones = 1;
+  State.LiveCounter = 3;
+  State.UsedCounter = 4;
+  return State;
+}
+
+AuditReport auditOf(const DispatchProbeState &State) {
+  AuditReport Report;
+  checkDispatchProbes(State, Report);
+  return Report;
+}
+
+} // namespace
+
+TEST(CacheAuditorCorruptionTest, CleanDispatchProbesBaseline) {
+  EXPECT_TRUE(auditsClean(auditOf(cleanProbes())));
+}
+
+TEST(CacheAuditorCorruptionTest, DispatchProbeChainBroken) {
+  // Fragment 2's slot is still live, but probing PC 0x300 stops at an
+  // empty slot first: the DBT would miss and regenerate a resident
+  // fragment.
+  DispatchProbeState State = cleanProbes();
+  State.Entries[2].Probed = DispatchTable::NotFound;
+  const AuditReport Report = auditOf(State);
+  EXPECT_EQ(Report.countOf(AuditRule::DispatchProbeUnreachable), 1u);
+  EXPECT_EQ(Report.size(), 1u);
+}
+
+TEST(CacheAuditorCorruptionTest, DispatchLiveCounterDrift) {
+  DispatchProbeState State = cleanProbes();
+  State.LiveCounter = 4; // size() no longer matches the live slots.
+  EXPECT_TRUE(auditOf(State).has(AuditRule::DispatchCounterDrift));
+}
+
+TEST(CacheAuditorCorruptionTest, DispatchUsedCounterDrift) {
+  DispatchProbeState State = cleanProbes();
+  State.UsedCounter = 3; // A tombstone went uncounted: growth fires late.
+  EXPECT_TRUE(auditOf(State).has(AuditRule::DispatchCounterDrift));
+}
+
 // --- Live translator audits ----------------------------------------------
 
 TEST(CacheAuditorTest, LiveTranslatorAuditsCleanUnderEveryGranularity) {
@@ -602,8 +655,7 @@ TEST(CacheAuditorTest, LiveTranslatorAuditsCleanUnderEveryGranularity) {
     Config.UseBasicBlockCache = true;
     Translator T(P, Config);
     T.run(1ULL << 40);
-    const AuditReport Report = CacheAuditor().auditTranslator(T);
-    EXPECT_TRUE(Report.clean()) << G.label() << "\n" << Report.render();
+    EXPECT_TRUE(auditsClean(auditTranslator(T))) << G.label();
     EXPECT_GT(T.engine().stats().EvictedBlocks, 0u);
     EXPECT_GT(T.basicBlockEngine().stats().EvictedBlocks, 0u);
   }
@@ -629,4 +681,9 @@ TEST(CacheAuditorTest, DispatchCaptureMirrorsLiveTranslator) {
     EXPECT_TRUE(T.cache().contains(E.Id));
     EXPECT_EQ(State.PCById[E.Id], E.PC);
   }
+
+  const DispatchProbeState Probes = captureDispatchProbes(T.dispatchTable());
+  EXPECT_EQ(Probes.Entries.size(), State.Entries.size());
+  EXPECT_EQ(Probes.LiveCounter, T.dispatchTable().size());
+  EXPECT_EQ(Probes.UsedCounter, Probes.Entries.size() + Probes.Tombstones);
 }

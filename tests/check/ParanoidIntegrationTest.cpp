@@ -12,10 +12,12 @@
 #include "runtime/Translator.h"
 #include "sim/Simulator.h"
 #include "trace/TraceGenerator.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
 using namespace ccsim::check;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -189,7 +191,7 @@ TEST(ParanoidIntegrationTest, ArmedTranslatorStaysQuietOnCorrectRun) {
     EXPECT_GT(S.EvictionInvocations, 0u)
         << "run too small to evict under " << G.label();
     EXPECT_GT(S.BBEvictionInvocations, 0u);
-    EXPECT_TRUE(T.checkInvariants());
+    EXPECT_TRUE(auditsClean(auditTranslator(T)));
   }
 }
 

@@ -3,9 +3,11 @@
 #include "core/CacheEngine.h"
 
 #include "support/Random.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -60,7 +62,7 @@ TEST(CacheEngineAccountingTest, MissOverheadUsesEquation3) {
   EXPECT_NEAR(M.stats().MissOverhead, 19264.0, 0.01);
 }
 
-TEST(CacheManagerTest, EvictionOverheadUsesEquation2) {
+TEST(CacheEngineAccountingTest, EvictionOverheadUsesEquation2) {
   CacheEngine M = makeManager(200, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100));
@@ -72,7 +74,7 @@ TEST(CacheManagerTest, EvictionOverheadUsesEquation2) {
   EXPECT_NEAR(S.EvictionOverhead, 2.77 * 200 + 3055, 0.01);
 }
 
-TEST(CacheManagerTest, FlushPolicyChargesNoUnlinking) {
+TEST(CacheEngineAccountingTest, FlushPolicyChargesNoUnlinking) {
   CacheEngine M = makeManager(300, GranularitySpec::flush());
   M.access(rec(0, 100, {1}));
   M.access(rec(1, 100, {0}));
@@ -88,7 +90,7 @@ TEST(CacheManagerTest, FlushPolicyChargesNoUnlinking) {
   EXPECT_EQ(S.BackPointerBytesPeak, 0u);
 }
 
-TEST(CacheManagerTest, FineFifoChargesUnlinking) {
+TEST(CacheEngineAccountingTest, FineFifoChargesUnlinking) {
   CacheEngine M = makeManager(300, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100, {0}));
@@ -102,7 +104,7 @@ TEST(CacheManagerTest, FineFifoChargesUnlinking) {
   EXPECT_NEAR(S.UnlinkOverhead, 296.5 * 2 + 95.7, 0.01);
 }
 
-TEST(CacheManagerTest, BackPointerMemoryTracked) {
+TEST(CacheEngineAccountingTest, BackPointerMemoryTracked) {
   CacheEngine M = makeManager(1000, GranularitySpec::units(4));
   M.access(rec(0, 100));
   M.access(rec(1, 100, {0}));
@@ -111,7 +113,7 @@ TEST(CacheManagerTest, BackPointerMemoryTracked) {
   EXPECT_GT(S.backPointerBytesAvg(), 0.0);
 }
 
-TEST(CacheManagerTest, ChainingDisabledTracksNoLinks) {
+TEST(CacheEngineAccountingTest, ChainingDisabledTracksNoLinks) {
   CacheEngine M = makeManager(300, GranularitySpec::fine(),
                               /*Chaining=*/false);
   M.access(rec(0, 100, {1}));
@@ -124,7 +126,7 @@ TEST(CacheManagerTest, ChainingDisabledTracksNoLinks) {
   EXPECT_EQ(M.links().numLinks(), 0u);
 }
 
-TEST(CacheManagerTest, TooBigBlockIsMissNotCached) {
+TEST(CacheEngineAccountingTest, TooBigBlockIsMissNotCached) {
   CacheEngine M = makeManager(100, GranularitySpec::fine());
   EXPECT_EQ(M.access(rec(0, 200)), AccessKind::MissTooBig);
   EXPECT_FALSE(M.cache().contains(0));
@@ -133,7 +135,7 @@ TEST(CacheManagerTest, TooBigBlockIsMissNotCached) {
   EXPECT_GT(M.stats().MissOverhead, 0.0);
 }
 
-TEST(CacheManagerTest, TotalOverheadSelectsLinkTerm) {
+TEST(CacheEngineAccountingTest, TotalOverheadSelectsLinkTerm) {
   CacheEngine M = makeManager(300, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100, {0}));
@@ -145,7 +147,7 @@ TEST(CacheManagerTest, TotalOverheadSelectsLinkTerm) {
                    S.totalOverhead(false) + S.UnlinkOverhead);
 }
 
-TEST(CacheManagerTest, ManualFlushEntireCache) {
+TEST(CacheEngineAccountingTest, ManualFlushEntireCache) {
   CacheEngine M = makeManager(1000, GranularitySpec::units(4));
   M.access(rec(0, 100));
   M.access(rec(1, 100));
@@ -236,10 +238,11 @@ TEST_P(CacheManagerProperty, RandomStreamKeepsInvariants) {
     Rec.OutEdges = std::span<const SuperblockId>(Edges[Id]);
     M.access(Rec);
     if (Step % 256 == 0) {
-      ASSERT_TRUE(M.checkInvariants()) << Spec.label() << " @" << Step;
+      ASSERT_TRUE(auditsClean(check::auditEngine(M)))
+          << Spec.label() << " @" << Step;
     }
   }
-  ASSERT_TRUE(M.checkInvariants());
+  ASSERT_TRUE(auditsClean(check::auditEngine(M)));
   const CacheStats &S = M.stats();
   EXPECT_EQ(S.Accesses, 6000u);
   EXPECT_EQ(S.Hits + S.Misses, S.Accesses);

@@ -1,7 +1,7 @@
 //===- tests/core/CacheEngineTest.cpp - Payload-callback engine tests -----===//
 //
-// The engine surface on top of what CacheManagerTest already covers
-// through access(): the install() front door used by execution-driven
+// The engine surface on top of what CacheEngineAccountingTest already
+// covers through access(): the install() front door used by execution-driven
 // owners, and the OnEvictPayload / OnUnlinkPayload teardown hooks with
 // their ordering contract -- evict payload first (before the engine
 // touches counters or links), unlink payload after the link graph
@@ -11,12 +11,14 @@
 
 #include "core/CacheEngine.h"
 
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 #include <string>
 #include <vector>
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -221,7 +223,7 @@ TEST(CacheEngineTest, MixedFrontDoorsKeepConservationIdentities) {
   EXPECT_EQ(S.ColdMisses + S.CapacityMisses, S.Misses);
   EXPECT_EQ(S.Inserts, S.EvictedBlocks + E.cache().residentCount());
   EXPECT_EQ(S.InsertedBytes, S.EvictedBytes + E.cache().occupiedBytes());
-  EXPECT_TRUE(E.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditEngine(E)));
 
   // Every eviction batch produced exactly one evict payload (and one
   // unlink payload, since chaining is on).

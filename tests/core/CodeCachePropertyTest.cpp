@@ -9,12 +9,14 @@
 #include "core/CodeCache.h"
 
 #include "support/Random.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 #include <map>
 #include <tuple>
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -64,7 +66,7 @@ TEST_P(CodeCacheProperty, RandomStreamKeepsInvariants) {
     Expected[Id] = Size;
 
     // Invariants after every operation.
-    ASSERT_TRUE(C.checkInvariants()) << "step " << Step;
+    ASSERT_TRUE(auditsClean(check::auditCache(C))) << "step " << Step;
     ASSERT_LE(C.occupiedBytes(), Capacity);
     ASSERT_EQ(C.residentCount(), Expected.size());
     for (const auto &[EId, ESize] : Expected) {

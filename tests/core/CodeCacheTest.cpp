@@ -2,9 +2,11 @@
 
 #include "core/CodeCache.h"
 
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -35,7 +37,7 @@ TEST(CodeCacheTest, EmptyCacheState) {
   EXPECT_EQ(C.residentCount(), 0u);
   EXPECT_TRUE(C.empty());
   EXPECT_FALSE(C.contains(0));
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, SequentialPlacement) {
@@ -46,7 +48,7 @@ TEST(CodeCacheTest, SequentialPlacement) {
   EXPECT_EQ(C.startOf(1), 100u);
   EXPECT_EQ(C.occupiedBytes(), 300u);
   EXPECT_EQ(C.sizeOf(1), 200u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, FineQuantumEvictsMinimum) {
@@ -61,7 +63,7 @@ TEST(CodeCacheTest, FineQuantumEvictsMinimum) {
   EXPECT_TRUE(C.contains(1));
   EXPECT_TRUE(C.contains(2));
   EXPECT_TRUE(C.contains(3));
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, FifoOrderPreserved) {
@@ -84,7 +86,7 @@ TEST(CodeCacheTest, FlushQuantumEvictsEverything) {
   EXPECT_EQ(C.residentCount(), 1u);
   EXPECT_TRUE(C.contains(3));
   EXPECT_EQ(C.startOf(3), 0u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, TwoUnitQuantumFlushesHalf) {
@@ -102,7 +104,7 @@ TEST(CodeCacheTest, TwoUnitQuantumFlushesHalf) {
   EXPECT_TRUE(C.contains(2));
   EXPECT_TRUE(C.contains(3));
   EXPECT_EQ(C.startOf(4), 0u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, UnitFlushLeavesRoomForSeveralInserts) {
@@ -115,7 +117,7 @@ TEST(CodeCacheTest, UnitFlushLeavesRoomForSeveralInserts) {
   EXPECT_EQ(Evicted.size(), 2u);
   Evicted = insert(C, 5, 100, 200);
   EXPECT_TRUE(Evicted.empty());
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, StraddlingBlockEvictedWithItsUnit) {
@@ -132,7 +134,7 @@ TEST(CodeCacheTest, StraddlingBlockEvictedWithItsUnit) {
   EXPECT_EQ(Evicted[1].Id, 1u);
   EXPECT_TRUE(C.contains(2));
   EXPECT_EQ(C.startOf(3), 0u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, WrapWasteReported) {
@@ -147,7 +149,7 @@ TEST(CodeCacheTest, WrapWasteReported) {
   C.commitInsert(1, 50);
   EXPECT_EQ(C.startOf(1), 0u);
   EXPECT_FALSE(C.contains(0)); // Evicted to make room at offset 0.
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, ExactFitNoWaste) {
@@ -165,7 +167,7 @@ TEST(CodeCacheTest, ExactFitNoWaste) {
   EXPECT_EQ(Evicted.size(), 1u);
   C.commitInsert(1, 10);
   EXPECT_EQ(C.startOf(1), 0u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, TooBigBlockRejected) {
@@ -174,7 +176,7 @@ TEST(CodeCacheTest, TooBigBlockRejected) {
   const auto P = C.prepareInsert(101, 1, Evicted);
   EXPECT_FALSE(P.CanInsert);
   EXPECT_TRUE(Evicted.empty());
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, CapacitySizedBlockAccepted) {
@@ -195,7 +197,7 @@ TEST(CodeCacheTest, BlockLargerThanUnitSpansUnits) {
   const auto Evicted = insert(C, 2, 60, 25);
   EXPECT_GE(Evicted.size(), 1u);
   EXPECT_TRUE(C.contains(2));
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, UnitsFlushedCounted) {
@@ -208,7 +210,7 @@ TEST(CodeCacheTest, UnitsFlushedCounted) {
   EXPECT_EQ(Evicted.size(), 2u);
   EXPECT_EQ(P.UnitsFlushed, 2u);
   C.commitInsert(9, 200);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, FlushAllEmptiesAndResets) {
@@ -224,7 +226,7 @@ TEST(CodeCacheTest, FlushAllEmptiesAndResets) {
   // Placement restarts at 0.
   insert(C, 2, 10, 1);
   EXPECT_EQ(C.startOf(2), 0u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, ReinsertionAfterEviction) {
@@ -236,7 +238,7 @@ TEST(CodeCacheTest, ReinsertionAfterEviction) {
   insert(C, 0, 100, 1); // Reinsert 0; evicts 1.
   EXPECT_TRUE(C.contains(0));
   EXPECT_FALSE(C.contains(1));
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditCache(C)));
 }
 
 TEST(CodeCacheTest, UnitOfStatic) {

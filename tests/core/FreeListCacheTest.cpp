@@ -3,11 +3,13 @@
 #include "core/FreeListCache.h"
 
 #include "support/Random.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 #include <set>
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -15,7 +17,7 @@ std::vector<SuperblockId> insertOk(FreeListCache &C, SuperblockId Id,
                                    uint32_t Size) {
   std::vector<SuperblockId> Evicted;
   EXPECT_TRUE(C.insert(Id, Size, 1.7, Evicted));
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditFreeList(C)));
   return Evicted;
 }
 
@@ -27,7 +29,7 @@ TEST(FreeListCacheTest, EmptyState) {
   EXPECT_EQ(C.occupiedBytes(), 0u);
   EXPECT_EQ(C.residentCount(), 0u);
   EXPECT_FALSE(C.contains(3));
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditFreeList(C)));
 }
 
 TEST(FreeListCacheTest, InsertAndContains) {
@@ -89,7 +91,7 @@ TEST(FreeListCacheTest, FragmentationStallDetected) {
   EXPECT_GE(C.stats().FragmentationStalls, 1u);
   // Without compaction it must evict block 1 as well to fit.
   EXPECT_EQ(Evicted.size(), 3u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditFreeList(C)));
 }
 
 TEST(FreeListCacheTest, CompactionAvoidsExtraEvictions) {
@@ -107,7 +109,7 @@ TEST(FreeListCacheTest, CompactionAvoidsExtraEvictions) {
   EXPECT_GE(C.stats().Compactions, 1u);
   EXPECT_GT(C.stats().BytesMoved, 0u);
   EXPECT_GT(C.stats().LinkFixups, 0u);
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditFreeList(C)));
 }
 
 TEST(FreeListCacheTest, TooBigRejected) {
@@ -115,7 +117,7 @@ TEST(FreeListCacheTest, TooBigRejected) {
   std::vector<SuperblockId> Evicted;
   EXPECT_FALSE(C.insert(0, 101, 1.7, Evicted));
   EXPECT_TRUE(Evicted.empty());
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditFreeList(C)));
 }
 
 TEST(FreeListCacheTest, ExactCapacityFits) {
@@ -162,7 +164,7 @@ TEST(FreeListCacheTest, RandomChurnKeepsInvariants) {
         Resident.erase(V);
       }
       if (Step % 64 == 0) {
-        ASSERT_TRUE(C.checkInvariants()) << "step " << Step;
+        ASSERT_TRUE(auditsClean(check::auditFreeList(C))) << "step " << Step;
       }
       ASSERT_EQ(C.residentCount(), Resident.size());
       ASSERT_LE(C.occupiedBytes(), C.capacity());
@@ -195,5 +197,5 @@ TEST(FreeListCacheTest, CompactionPreservesResidency) {
     for (SuperblockId Live : Resident)
       ASSERT_TRUE(C.contains(Live));
   }
-  EXPECT_TRUE(C.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditFreeList(C)));
 }

@@ -3,9 +3,11 @@
 #include "core/GenerationalCache.h"
 
 #include "support/Random.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -32,7 +34,7 @@ TEST(GenerationalCacheTest, FirstInsertGoesToNursery) {
   EXPECT_TRUE(M.nursery().contains(0));
   EXPECT_FALSE(M.tenured().contains(0));
   EXPECT_EQ(M.promotions(), 0u);
-  EXPECT_TRUE(M.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditGenerational(M)));
 }
 
 TEST(GenerationalCacheTest, HitInEitherGeneration) {
@@ -55,7 +57,7 @@ TEST(GenerationalCacheTest, ReinsertionPromotesToTenured) {
   EXPECT_TRUE(M.tenured().contains(0));
   EXPECT_FALSE(M.nursery().contains(0));
   EXPECT_EQ(M.promotions(), 1u);
-  EXPECT_TRUE(M.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditGenerational(M)));
 }
 
 TEST(GenerationalCacheTest, TenuredBlocksSurviveNurseryChurn) {
@@ -95,7 +97,7 @@ TEST(GenerationalCacheTest, OversizedForTenuredFallsBackToNursery) {
   GenerationalCache M(C);
   EXPECT_EQ(M.access(rec(0, 500)), AccessKind::Miss);
   EXPECT_TRUE(M.nursery().contains(0)); // Too big for tenured.
-  EXPECT_TRUE(M.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditGenerational(M)));
 }
 
 TEST(GenerationalCacheTest, ZeroTenuredFractionDegenerates) {
@@ -105,7 +107,7 @@ TEST(GenerationalCacheTest, ZeroTenuredFractionDegenerates) {
   for (int Round = 0; Round < 4; ++Round)
     for (SuperblockId Id = 0; Id < 12; ++Id)
       M.access(rec(Id, 150));
-  EXPECT_TRUE(M.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditGenerational(M)));
   EXPECT_GT(M.stats().Misses, 12u);
 }
 
@@ -122,7 +124,7 @@ TEST(GenerationalCacheTest, RandomChurnKeepsInvariants) {
     const SuperblockId Id = static_cast<SuperblockId>(R.nextBelow(150));
     M.access(rec(Id, Sizes[Id]));
     if (Step % 256 == 0) {
-      ASSERT_TRUE(M.checkInvariants()) << "step " << Step;
+      ASSERT_TRUE(auditsClean(check::auditGenerational(M))) << "step " << Step;
     }
   }
   const CacheStats &S = M.stats();

@@ -3,9 +3,11 @@
 #include "core/LinkGraph.h"
 
 #include "support/Random.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -27,7 +29,7 @@ protected:
       Links.onEvict(Cache, Evicted, Dangling);
     Cache.commitInsert(Id, Size);
     Links.onInsert(Cache, Quantum, Id, Edges, Stats);
-    EXPECT_TRUE(Links.checkInvariants(Cache));
+    EXPECT_TRUE(auditsClean(check::auditLinks(Links, Cache)));
     return Dangling;
   }
 };
@@ -137,7 +139,7 @@ TEST_F(LinkGraphFixture, ReinsertionRematerializesWants) {
   if (Cache.contains(1)) {
     EXPECT_TRUE(Links.hasLink(1, 0));
   }
-  EXPECT_TRUE(Links.checkInvariants(Cache));
+  EXPECT_TRUE(auditsClean(check::auditLinks(Links, Cache)));
 }
 
 TEST_F(LinkGraphFixture, BackPointerMemoryAccounting) {
@@ -164,7 +166,7 @@ TEST_F(LinkGraphFixture, EvictedSourceDropsItsWants) {
   insertBlock(7, 100, {});
   EXPECT_EQ(Links.inDegree(7), 0u);
   EXPECT_EQ(Links.numLinks(), 0u);
-  EXPECT_TRUE(Links.checkInvariants(Cache));
+  EXPECT_TRUE(auditsClean(check::auditLinks(Links, Cache)));
 }
 
 TEST(LinkGraphRandomTest, InvariantsUnderRandomChurn) {
@@ -193,8 +195,8 @@ TEST(LinkGraphRandomTest, InvariantsUnderRandomChurn) {
       Cache.commitInsert(Id, Size);
       Links.onInsert(Cache, Quantum, Id, Edges, Stats);
 
-      ASSERT_TRUE(Cache.checkInvariants()) << "seed " << Seed;
-      ASSERT_TRUE(Links.checkInvariants(Cache))
+      ASSERT_TRUE(auditsClean(check::auditCache(Cache))) << "seed " << Seed;
+      ASSERT_TRUE(auditsClean(check::auditLinks(Links, Cache)))
           << "seed " << Seed << " step " << Step;
     }
     EXPECT_GT(Stats.LinksCreated, 0u);

@@ -23,6 +23,7 @@
 #include "runtime/Translator.h"
 
 #include "isa/ProgramGenerator.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include <string>
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -199,7 +201,7 @@ std::string runConfig(const GoldenConfig &C) {
   Translator T(P, Config);
   T.run(1ULL << 40);
   EXPECT_TRUE(T.guestState().Halted);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
   return fingerprint(T);
 }
 

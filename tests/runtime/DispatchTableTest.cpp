@@ -3,11 +3,13 @@
 #include "runtime/DispatchTable.h"
 
 #include "support/Random.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 #include <map>
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 TEST(DispatchTableTest, LookupMissOnEmpty) {
   DispatchTable T;
@@ -23,7 +25,7 @@ TEST(DispatchTableTest, InsertThenLookup) {
   unsigned Probes = 0;
   EXPECT_EQ(T.lookup(100, Probes), 7);
   EXPECT_EQ(T.size(), 1u);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditDispatchTable(T)));
 }
 
 TEST(DispatchTableTest, RemoveMakesLookupMiss) {
@@ -33,7 +35,7 @@ TEST(DispatchTableTest, RemoveMakesLookupMiss) {
   unsigned Probes = 0;
   EXPECT_EQ(T.lookup(100, Probes), DispatchTable::NotFound);
   EXPECT_EQ(T.size(), 0u);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditDispatchTable(T)));
 }
 
 TEST(DispatchTableTest, TombstoneDoesNotBreakProbeChains) {
@@ -49,7 +51,7 @@ TEST(DispatchTableTest, TombstoneDoesNotBreakProbeChains) {
   for (uint32_t PC = 0; PC < 200; PC += 2)
     EXPECT_EQ(T.lookup(PC * 3, Probes), DispatchTable::NotFound);
   EXPECT_EQ(T.size(), 100u);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditDispatchTable(T)));
 }
 
 TEST(DispatchTableTest, GrowthPreservesEntries) {
@@ -60,7 +62,7 @@ TEST(DispatchTableTest, GrowthPreservesEntries) {
   unsigned Probes = 0;
   for (uint32_t PC = 0; PC < 5000; ++PC)
     ASSERT_EQ(T.lookup(PC, Probes), static_cast<int32_t>(PC + 1));
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditDispatchTable(T)));
 }
 
 TEST(DispatchTableTest, ReinsertAfterRemove) {
@@ -70,7 +72,7 @@ TEST(DispatchTableTest, ReinsertAfterRemove) {
   T.insert(42, 2);
   unsigned Probes = 0;
   EXPECT_EQ(T.lookup(42, Probes), 2);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditDispatchTable(T)));
 }
 
 TEST(DispatchTableTest, RandomChurnAgainstModel) {
@@ -89,7 +91,7 @@ TEST(DispatchTableTest, RandomChurnAgainstModel) {
       Model.erase(It);
     }
     if (Step % 1024 == 0) {
-      ASSERT_TRUE(T.checkInvariants());
+      ASSERT_TRUE(auditsClean(check::auditDispatchTable(T)));
       ASSERT_EQ(T.size(), Model.size());
     }
   }

@@ -13,9 +13,11 @@
 #include "runtime/Translator.h"
 #include "support/Random.h"
 
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -79,7 +81,7 @@ TEST_P(DifferentialFuzz, TranslatedEqualsInterpreted) {
       << " chain=" << Config.EnableChaining
       << " bb=" << Config.UseBasicBlockCache;
   EXPECT_EQ(T.guestState().digest(), Ref.digest());
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz,
@@ -117,7 +119,7 @@ TEST_P(GarbageImageFuzz, TranslatorSurvivesArbitraryBytes) {
   Config.UseBasicBlockCache = (GetParam() % 2) == 0;
   Translator T(P, Config);
   T.run(200'000);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GarbageImageFuzz,

@@ -12,11 +12,13 @@
 #include "runtime/Interpreter.h"
 #include "runtime/SystemProfiles.h"
 #include "support/Regression.h"
+#include "../support/AuditAssert.h"
 #include "gtest/gtest.h"
 
 #include <tuple>
 
 using namespace ccsim;
+using ccsim::test::auditsClean;
 
 namespace {
 
@@ -74,7 +76,7 @@ TEST_P(TranslatorEquality, MatchesInterpreterExactly) {
       << "guest instruction counts diverged";
   EXPECT_EQ(T.guestState().digest(), RefDigest)
       << "architectural state diverged";
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
   EXPECT_EQ(Stats.InterpretedInstructions + Stats.CacheInstructions,
             Stats.GuestInstructions);
 }
@@ -160,7 +162,7 @@ TEST(TranslatorTest, SmallCacheForcesEvictionsAndStaysCorrect) {
   EXPECT_GT(Stats.EvictionInvocations, 10u);
   EXPECT_GT(Stats.EvictedFragments, 10u);
   EXPECT_EQ(T.guestState().digest(), RefDigest);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
 }
 
 TEST(TranslatorTest, BudgetStopsExecution) {
@@ -280,7 +282,7 @@ TEST(TranslatorTest, FragmentsRespectLengthCap) {
   Config.MaxFragmentGuestInstrs = 16;
   Translator T(P, Config);
   T.run(1ULL << 40);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
   // With a 16-instruction cap, fragment byte sizes stay small.
   T.cache().forEachResident([&](const CodeCache::Resident &R) {
     EXPECT_LE(R.Size, 16u * 7u + 10u * Config.StubBytesPerExit);
@@ -380,7 +382,7 @@ TEST_P(TwoTierEquality, MatchesInterpreterExactly) {
   EXPECT_TRUE(T.guestState().Halted);
   EXPECT_EQ(Stats.GuestInstructions, RefSteps);
   EXPECT_EQ(T.guestState().digest(), RefDigest);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
   EXPECT_EQ(Stats.InterpretedInstructions + Stats.CacheInstructions +
                 Stats.BBInstructions,
             Stats.GuestInstructions);
@@ -427,7 +429,7 @@ TEST(TwoTierTest, TinyBBCacheChurnsButStaysCorrect) {
   const TranslatorStats &Stats = T.run(1ULL << 40);
   EXPECT_GT(Stats.BBEvictionInvocations, 10u);
   EXPECT_EQ(T.guestState().digest(), RefDigest);
-  EXPECT_TRUE(T.checkInvariants());
+  EXPECT_TRUE(auditsClean(check::auditTranslator(T)));
 }
 
 TEST(TwoTierTest, BBEvictionsUnderEveryMainGranularity) {
@@ -453,7 +455,7 @@ TEST(TwoTierTest, BBEvictionsUnderEveryMainGranularity) {
     EXPECT_GT(Stats.BBEvictedFragments, 0u) << G.label();
     // The BB engine's quantum is one fragment no matter the main policy.
     EXPECT_EQ(T.basicBlockEngine().currentQuantum(), 1u);
-    EXPECT_TRUE(T.checkInvariants()) << G.label();
+    EXPECT_TRUE(auditsClean(check::auditTranslator(T))) << G.label();
   }
 }
 
