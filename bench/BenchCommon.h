@@ -51,7 +51,7 @@ inline void maybeWriteCsv(const FlagSet &Flags,
     return;
   std::vector<std::string> Header = {"granularity"};
   for (double P : Pressures)
-    Header.push_back("n" + formatDouble(P, 0));
+    Header.push_back(std::string("n").append(formatDouble(P, 0)));
   CsvWriter Csv(Header);
   for (size_t G = 0; G < Labels.size(); ++G) {
     Csv.beginRow();

@@ -41,8 +41,10 @@ int main(int Argc, char **Argv) {
     Out.cell(Results[I].PolicyLabel);
     Out.cell(WithLinks[I], 3);
     Out.cell(WithoutLinks[I], 3);
-    Out.cell("+" + formatDouble((WithLinks[I] - WithoutLinks[I]) * 100.0, 2) +
-             "pp");
+    std::string Shift = "+";
+    Shift += formatDouble((WithLinks[I] - WithoutLinks[I]) * 100.0, 2);
+    Shift += "pp";
+    Out.cell(Shift);
     Out.cell(Results[I].Combined.UnlinkedLinks);
   }
   std::fputs(Out.render().c_str(), stdout);

@@ -227,10 +227,10 @@ std::string renderOutcome(const service::JobOutcome &O) {
 using TraceSource = std::variant<Trace, trace::MappedTrace>;
 
 /// The one trace loader. A positional .cct is mapped with --mmap and
-/// read through the buffered reader otherwise; without one, the workload
-/// flags generate the trace. On failure returns nullopt with \p Error
-/// set and \p Exit the exit code (an unreadable file is a runtime
-/// failure, anything else a usage error).
+/// copied into an owned Trace (readTrace) otherwise; without one, the
+/// workload flags generate the trace. On failure returns nullopt with
+/// \p Error set and \p Exit the exit code (an unreadable file is a
+/// runtime failure, anything else a usage error).
 std::optional<TraceSource> loadTrace(const FlagSet &Flags,
                                      std::string *Error, int *Exit) {
   *Exit = ExitUsage;

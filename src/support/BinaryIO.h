@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Little-endian binary writers/readers over files and memory buffers.
-/// The trace library serializes DynamoRIO-style logs through these classes
-/// so experiments can be replayed exactly (the paper's repeatability
-/// requirement, Section 4.1). No exceptions: errors latch a failure flag
-/// that callers must check.
+/// A little-endian binary writer (to a file or a memory buffer) and a
+/// non-owning reader cursor over a byte span. The trace library
+/// serializes DynamoRIO-style logs through these classes so experiments
+/// can be replayed exactly (the paper's repeatability requirement,
+/// Section 4.1). No exceptions: errors latch a failure flag that callers
+/// must check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,11 +41,8 @@ public:
 
   bool ok() const { return !Failed; }
 
-  void writeU8(uint8_t V);
-  void writeU16(uint16_t V);
   void writeU32(uint32_t V);
   void writeU64(uint64_t V);
-  void writeF64(double V);
   void writeString(const std::string &S);
   void writeBytes(const void *Data, size_t Size);
 
@@ -60,33 +59,27 @@ private:
   bool Failed = false;
 };
 
-/// Little-endian binary reader over a file or memory buffer.
+/// Bounds-checked little-endian cursor over bytes it does not own; the
+/// bytes must outlive the reader and every span readBytes() returns.
+/// A read past the end latches failure and returns zero / empty.
 class BinaryReader {
 public:
-  /// Reads the whole of \p Path into memory. Check ok() before use.
-  explicit BinaryReader(const std::string &Path);
-
-  /// Reads from an existing byte buffer (copied).
-  explicit BinaryReader(std::vector<uint8_t> Bytes);
+  explicit BinaryReader(std::span<const uint8_t> Bytes) : Bytes(Bytes) {}
 
   bool ok() const { return !Failed; }
-  bool atEnd() const { return Cursor >= Bytes.size(); }
   size_t remaining() const { return Bytes.size() - Cursor; }
 
-  uint8_t readU8();
-  uint16_t readU16();
   uint32_t readU32();
   uint64_t readU64();
-  double readF64();
   std::string readString();
-  bool readBytes(void *Data, size_t Size);
+
+  /// The next \p Size bytes, as a view into the underlying buffer.
+  std::span<const uint8_t> readBytes(size_t Size);
 
 private:
-  std::vector<uint8_t> Bytes;
+  std::span<const uint8_t> Bytes;
   size_t Cursor = 0;
   bool Failed = false;
-
-  bool take(void *Out, size_t Size);
 };
 
 } // namespace ccsim

@@ -49,12 +49,11 @@ std::string Histogram::render(size_t MaxBarWidth) const {
 
   std::string Out;
   for (size_t I = 0; I < Counts.size(); ++I) {
-    std::string Label;
-    if (I + 1 == Counts.size())
-      Label = ">= " + formatDouble(bucketLow(I), 0);
-    else
-      Label = "[" + formatDouble(bucketLow(I), 0) + ", " +
-              formatDouble(bucketHigh(I), 0) + ")";
+    const bool Last = I + 1 == Counts.size();
+    std::string Label = Last ? ">= " : "[";
+    Label += formatDouble(bucketLow(I), 0);
+    if (!Last)
+      Label.append(", ").append(formatDouble(bucketHigh(I), 0)).append(")");
     Out += padRight(Label, 16);
     const size_t Bar = static_cast<size_t>(
         std::llround(static_cast<double>(Counts[I]) * MaxBarWidth /

@@ -45,7 +45,8 @@ void Table::cell(uint64_t Value) { cell(formatWithCommas(Value)); }
 
 void Table::cell(int64_t Value) {
   if (Value < 0)
-    cell("-" + formatWithCommas(static_cast<uint64_t>(-Value)));
+    cell(std::string("-").append(
+        formatWithCommas(0 - static_cast<uint64_t>(Value))));
   else
     cell(formatWithCommas(static_cast<uint64_t>(Value)));
 }

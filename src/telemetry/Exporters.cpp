@@ -83,8 +83,8 @@ std::string labelsJson(const MetricLabels &Labels) {
   for (size_t I = 0; I < Labels.size(); ++I) {
     if (I)
       Out.push_back(',');
-    Out += "\"" + jsonEscape(Labels[I].first) + "\":\"" +
-           jsonEscape(Labels[I].second) + "\"";
+    Out.append("\"").append(jsonEscape(Labels[I].first)).append("\":\"");
+    Out.append(jsonEscape(Labels[I].second)).append("\"");
   }
   Out.push_back('}');
   return Out;

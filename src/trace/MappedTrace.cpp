@@ -2,10 +2,11 @@
 
 #include "trace/MappedTrace.h"
 
+#include "support/BinaryIO.h"
 #include "support/Contracts.h"
+#include "trace/TraceIO.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -22,63 +23,6 @@ using namespace ccsim;
 using namespace ccsim::trace;
 
 namespace {
-
-constexpr uint32_t TraceMagic = 0x43435452; // "CCTR" (TraceIO.cpp)
-constexpr uint32_t TraceVersion = 1;
-
-/// Bounds-checked little-endian cursor over the raw mapping. Mirrors
-/// BinaryReader's latching-failure contract without copying the bytes.
-class RawCursor {
-public:
-  RawCursor(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  bool ok() const { return !Failed; }
-  size_t remaining() const { return Size - Cursor; }
-  size_t position() const { return Cursor; }
-
-  uint32_t readU32() {
-    uint32_t V = 0;
-    if (!take(4))
-      return 0;
-    const uint8_t *P = Data + Cursor - 4;
-    V = static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-        (static_cast<uint32_t>(P[2]) << 16) |
-        (static_cast<uint32_t>(P[3]) << 24);
-    return V;
-  }
-
-  uint64_t readU64() {
-    const uint64_t Lo = readU32();
-    const uint64_t Hi = readU32();
-    return Lo | (Hi << 32);
-  }
-
-  std::string readString() {
-    const uint32_t Len = readU32();
-    if (Failed || Len > remaining()) {
-      Failed = true;
-      return std::string();
-    }
-    std::string S(reinterpret_cast<const char *>(Data + Cursor), Len);
-    Cursor += Len;
-    return S;
-  }
-
-private:
-  bool take(size_t N) {
-    if (Failed || N > remaining()) {
-      Failed = true;
-      return false;
-    }
-    Cursor += N;
-    return true;
-  }
-
-  const uint8_t *Data;
-  size_t Size;
-  size_t Cursor = 0;
-  bool Failed = false;
-};
 
 /// Reads the whole of \p Path into \p Out (the non-mmap path).
 bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
@@ -108,7 +52,7 @@ void MappedTrace::reset() noexcept {
   MapLength = 0;
   AccessBase = nullptr;
   NumAccesses = 0;
-  Fallback.clear();
+  Owned.clear();
 }
 
 MappedTrace::~MappedTrace() { reset(); }
@@ -117,7 +61,7 @@ MappedTrace::MappedTrace(MappedTrace &&Other) noexcept
     : Name(std::move(Other.Name)), Blocks(std::move(Other.Blocks)),
       MaxCacheBytes(Other.MaxCacheBytes), NumAccesses(Other.NumAccesses),
       AccessBase(Other.AccessBase), MapBase(Other.MapBase),
-      MapLength(Other.MapLength), Fallback(std::move(Other.Fallback)) {
+      MapLength(Other.MapLength), Owned(std::move(Other.Owned)) {
   Other.MapBase = nullptr;
   Other.MapLength = 0;
   Other.AccessBase = nullptr;
@@ -134,7 +78,7 @@ MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
     AccessBase = Other.AccessBase;
     MapBase = Other.MapBase;
     MapLength = Other.MapLength;
-    Fallback = std::move(Other.Fallback);
+    Owned = std::move(Other.Owned);
     Other.MapBase = nullptr;
     Other.MapLength = 0;
     Other.AccessBase = nullptr;
@@ -143,14 +87,54 @@ MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
   return *this;
 }
 
+bool MappedTrace::decode(std::span<const uint8_t> Bytes) {
+  BinaryReader R(Bytes);
+  if (R.readU32() != TraceMagic || R.readU32() != TraceVersion)
+    return false;
+  Name = R.readString();
+  // Every block takes at least 8 bytes (size and edge count), so a larger
+  // count cannot be honest: reject it before it sizes the table.
+  const uint32_t NumBlocks = R.readU32();
+  if (!R.ok() || NumBlocks > R.remaining() / 8)
+    return false;
+  Blocks.resize(NumBlocks);
+  for (SuperblockDef &B : Blocks) {
+    B.SizeBytes = R.readU32();
+    const uint32_t NumEdges = R.readU32();
+    if (!R.ok() || NumEdges > R.remaining() / 4)
+      return false;
+    B.OutEdges.resize(NumEdges);
+    for (SuperblockId &Edge : B.OutEdges)
+      Edge = R.readU32();
+  }
+  // The access stream must run exactly to the end of the input; trailing
+  // bytes are corruption, not padding.
+  const uint64_t Count = R.readU64();
+  if (!R.ok() || R.remaining() % 4 != 0 || Count != R.remaining() / 4)
+    return false;
+  AccessBase = R.readBytes(R.remaining()).data();
+  NumAccesses = static_cast<size_t>(Count);
+  if (!isStructurallyValid(Blocks, NumAccesses,
+                           [this](size_t I) { return idAt(I); }))
+    return false;
+  for (const SuperblockDef &B : Blocks)
+    MaxCacheBytes += B.SizeBytes;
+  return true;
+}
+
+std::optional<MappedTrace> MappedTrace::fromBytes(std::vector<uint8_t> Bytes) {
+  MappedTrace T;
+  T.Owned = std::move(Bytes);
+  if (!T.decode(T.Owned))
+    return std::nullopt;
+  return T;
+}
+
 std::optional<MappedTrace> MappedTrace::open(const std::string &Path,
                                              bool ForceFallback) {
-  MappedTrace T;
-  const uint8_t *Data = nullptr;
-  size_t Size = 0;
-
 #if CCSIM_HAVE_MMAP
   if (!ForceFallback) {
+    MappedTrace T;
     const int Fd = ::open(Path.c_str(), O_RDONLY);
     if (Fd >= 0) {
       struct stat St;
@@ -165,75 +149,19 @@ std::optional<MappedTrace> MappedTrace::open(const std::string &Path,
       ::close(Fd);
     }
     if (T.MapBase) {
-      Data = static_cast<const uint8_t *>(T.MapBase);
-      Size = T.MapLength;
+      if (!T.decode({static_cast<const uint8_t *>(T.MapBase), T.MapLength}))
+        return std::nullopt;
+      return T;
     }
   }
 #else
   (void)ForceFallback;
 #endif
 
-  if (!Data) {
-    if (!readWholeFile(Path, T.Fallback))
-      return std::nullopt;
-    Data = T.Fallback.data();
-    Size = T.Fallback.size();
-  }
-
-  // Header + block table, decoded eagerly (mirrors readTracePayload).
-  RawCursor R(Data, Size);
-  if (R.readU32() != TraceMagic || R.readU32() != TraceVersion)
+  std::vector<uint8_t> Bytes;
+  if (!readWholeFile(Path, Bytes))
     return std::nullopt;
-  T.Name = R.readString();
-  const uint32_t NumBlocks = R.readU32();
-  if (!R.ok())
-    return std::nullopt;
-  T.Blocks.resize(NumBlocks);
-  for (SuperblockDef &B : T.Blocks) {
-    B.SizeBytes = R.readU32();
-    const uint32_t NumEdges = R.readU32();
-    if (!R.ok() || NumEdges > R.remaining() / 4 + 1)
-      return std::nullopt;
-    B.OutEdges.resize(NumEdges);
-    for (SuperblockId &Edge : B.OutEdges)
-      Edge = R.readU32();
-  }
-  const uint64_t NumAccesses = R.readU64();
-  if (!R.ok() || NumAccesses > R.remaining() / 4)
-    return std::nullopt;
-  // The access stream must run exactly to the end of the file; trailing
-  // bytes are corruption, not padding (same contract as readTrace).
-  if (R.remaining() != NumAccesses * 4)
-    return std::nullopt;
-  T.AccessBase = Data + R.position();
-  T.NumAccesses = static_cast<size_t>(NumAccesses);
-
-  // Full Trace::validate() semantics over the mapped stream: positive
-  // block sizes, in-range edges, every access names a defined block,
-  // every block accessed at least once. One sequential pass; afterwards
-  // idAt()/recordFor() need no per-access checks.
-  std::vector<uint8_t> Touched(NumBlocks, 0);
-  uint64_t Total = 0;
-  for (const SuperblockDef &B : T.Blocks) {
-    if (B.SizeBytes == 0)
-      return std::nullopt;
-    Total += B.SizeBytes;
-    for (SuperblockId Edge : B.OutEdges)
-      if (Edge >= NumBlocks)
-        return std::nullopt;
-  }
-  for (size_t I = 0; I < T.NumAccesses; ++I) {
-    const SuperblockId Id = T.idAt(I);
-    if (Id >= NumBlocks)
-      return std::nullopt;
-    Touched[Id] = 1;
-  }
-  for (uint8_t Seen : Touched)
-    if (!Seen)
-      return std::nullopt;
-  T.MaxCacheBytes = Total;
-
-  return T;
+  return fromBytes(std::move(Bytes));
 }
 
 SuperblockRecord MappedTrace::recordFor(SuperblockId Id) const {

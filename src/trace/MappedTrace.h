@@ -5,25 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Zero-copy access to on-disk trace files. readTrace() copies the whole
-/// access stream -- typically the bulk of the file by orders of magnitude
-/// -- into a std::vector before the first event is replayed. MappedTrace
-/// instead maps the file read-only and decodes accesses straight out of
+/// The one decoder of the .cct trace format (TraceIO.h describes it).
+/// open() maps the file read-only and decodes accesses straight out of
 /// the mapping: the block table (small) is decoded eagerly into the same
 /// SuperblockDef records the rest of the system uses, while the access
 /// stream stays on disk and is paged in by the kernel as the replay
-/// walks it.
+/// walks it. fromBytes() runs the same decode over an owned buffer.
+/// readTrace() is open() then toTrace(), and deserializeTrace() is
+/// fromBytes() then toTrace(), which copies the stream into a Trace.
 ///
 /// On platforms without mmap (or when ForceFallback is set, which the
 /// tests use to cover the path), open() degrades to reading the file
 /// into an owned buffer -- same interface, one copy, still no second
 /// materialization of the access vector.
 ///
-/// Validation at open() is exactly as strict as readTrace(): magic,
-/// version, bounds, Trace::validate() semantics (every access and edge
-/// names a defined block, positive sizes, every block accessed), and a
-/// trailing-byte check. A MappedTrace that opened successfully can be
-/// streamed without per-access checks.
+/// Decoding checks magic, version, every count against the bytes left
+/// (a hostile count is rejected before it sizes a table), the
+/// isStructurallyValid() rule of Trace::validate(), and that the access
+/// stream runs exactly to the end. A MappedTrace that decoded
+/// successfully can be streamed without per-access checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,15 +34,16 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace ccsim::trace {
 
-/// A read-only trace backed by a file mapping (or an owned fallback
-/// buffer). Movable, not copyable; the mapping lives as long as the
-/// object, and records returned by recordFor() alias the decoded block
-/// table exactly like Trace::recordFor().
+/// A read-only trace backed by a file mapping (or an owned buffer).
+/// Movable, not copyable; the mapping lives as long as the object, and
+/// records returned by recordFor() alias the decoded block table exactly
+/// like Trace::recordFor().
 class MappedTrace {
 public:
   MappedTrace(MappedTrace &&Other) noexcept;
@@ -56,6 +57,10 @@ public:
   /// the file into memory (tests exercise the non-mmap path with it).
   static std::optional<MappedTrace> open(const std::string &Path,
                                          bool ForceFallback = false);
+
+  /// Validates the serialized trace \p Bytes and serves it from them.
+  /// Returns nullopt for corrupt or truncated input.
+  static std::optional<MappedTrace> fromBytes(std::vector<uint8_t> Bytes);
 
   const std::string &name() const { return Name; }
   size_t numSuperblocks() const { return Blocks.size(); }
@@ -79,7 +84,7 @@ public:
   const std::vector<SuperblockDef> &blocks() const { return Blocks; }
 
   /// True when the access stream is served by an actual file mapping
-  /// (false on the owned-buffer fallback).
+  /// (false on an owned buffer).
   bool isMapped() const { return MapBase != nullptr; }
 
   /// Materializes a plain Trace (copies the access stream). For callers
@@ -95,13 +100,16 @@ private:
   size_t NumAccesses = 0;
 
   /// Start of the little-endian u32 access stream, into MapBase or
-  /// Fallback.
+  /// Owned.
   const uint8_t *AccessBase = nullptr;
 
-  void *MapBase = nullptr; ///< mmap base (null on fallback).
+  void *MapBase = nullptr; ///< mmap base (null on an owned buffer).
   size_t MapLength = 0;
-  std::vector<uint8_t> Fallback; ///< Owned bytes when not mapped.
+  std::vector<uint8_t> Owned; ///< Owned bytes when not mapped.
 
+  /// Decodes and validates the whole .cct image \p Bytes, which must
+  /// stay alive (MapBase or Owned) as long as this object.
+  bool decode(std::span<const uint8_t> Bytes);
   void reset() noexcept;
 };
 

@@ -40,21 +40,6 @@ double Trace::meanOutDegree() const {
 }
 
 bool Trace::validate() const {
-  std::vector<uint8_t> Touched(Blocks.size(), 0);
-  for (const SuperblockDef &B : Blocks) {
-    if (B.SizeBytes == 0)
-      return false;
-    for (SuperblockId Edge : B.OutEdges)
-      if (Edge >= Blocks.size())
-        return false;
-  }
-  for (SuperblockId Id : Accesses) {
-    if (Id >= Blocks.size())
-      return false;
-    Touched[Id] = 1;
-  }
-  for (uint8_t T : Touched)
-    if (!T)
-      return false; // Table 1 counts *hot* superblocks: all are executed.
-  return true;
+  return isStructurallyValid(Blocks, Accesses.size(),
+                             [this](size_t I) { return Accesses[I]; });
 }

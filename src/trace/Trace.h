@@ -19,6 +19,7 @@
 
 #include "core/Superblock.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,11 +66,35 @@ struct Trace {
   /// Mean static out-degree across superblocks (Figure 12).
   double meanOutDegree() const;
 
-  /// Structural validity: every access and edge names a defined
-  /// superblock, every block has a positive size, and every block is
-  /// accessed at least once.
+  /// Structural validity (see isStructurallyValid).
   bool validate() const;
 };
+
+/// The structural validity rule of a trace, over its block table and an
+/// access stream of \p NumAccesses ids read through \p AccessAt(I):
+/// every access and edge names a defined superblock, every block has a
+/// positive size, and every block is accessed at least once (Table 1
+/// counts *hot* superblocks: all are executed). Trace::validate() and
+/// trace::MappedTrace::open() both apply it.
+template <typename AccessAtFn>
+bool isStructurallyValid(const std::vector<SuperblockDef> &Blocks,
+                         size_t NumAccesses, AccessAtFn AccessAt) {
+  for (const SuperblockDef &B : Blocks) {
+    if (B.SizeBytes == 0)
+      return false;
+    for (SuperblockId Edge : B.OutEdges)
+      if (Edge >= Blocks.size())
+        return false;
+  }
+  std::vector<uint8_t> Touched(Blocks.size(), 0);
+  for (size_t I = 0; I < NumAccesses; ++I) {
+    const SuperblockId Id = AccessAt(I);
+    if (Id >= Blocks.size())
+      return false;
+    Touched[Id] = 1;
+  }
+  return std::find(Touched.begin(), Touched.end(), 0) == Touched.end();
+}
 
 } // namespace ccsim
 

@@ -3,13 +3,9 @@
 #include "trace/TraceIO.h"
 
 #include "support/BinaryIO.h"
+#include "trace/MappedTrace.h"
 
 using namespace ccsim;
-
-namespace {
-constexpr uint32_t TraceMagic = 0x43435452; // "CCTR"
-constexpr uint32_t TraceVersion = 1;
-} // namespace
 
 static void writeTracePayload(BinaryWriter &W, const Trace &T) {
   W.writeU32(TraceMagic);
@@ -27,41 +23,6 @@ static void writeTracePayload(BinaryWriter &W, const Trace &T) {
     W.writeU32(Id);
 }
 
-static std::optional<Trace> readTracePayload(BinaryReader &R) {
-  if (R.readU32() != TraceMagic)
-    return std::nullopt;
-  if (R.readU32() != TraceVersion)
-    return std::nullopt;
-  Trace T;
-  T.Name = R.readString();
-  const uint32_t NumBlocks = R.readU32();
-  if (!R.ok())
-    return std::nullopt;
-  T.Blocks.resize(NumBlocks);
-  for (SuperblockDef &B : T.Blocks) {
-    B.SizeBytes = R.readU32();
-    const uint32_t NumEdges = R.readU32();
-    if (!R.ok() || NumEdges > R.remaining() / 4 + 1)
-      return std::nullopt;
-    B.OutEdges.resize(NumEdges);
-    for (SuperblockId &Edge : B.OutEdges)
-      Edge = R.readU32();
-  }
-  const uint64_t NumAccesses = R.readU64();
-  if (!R.ok() || NumAccesses > R.remaining() / 4 + 1)
-    return std::nullopt;
-  T.Accesses.resize(NumAccesses);
-  for (SuperblockId &Id : T.Accesses)
-    Id = R.readU32();
-  if (!R.ok() || !T.validate())
-    return std::nullopt;
-  // Trailing bytes mean the payload and the container disagree about
-  // where the trace ends — treat that as corruption, not padding.
-  if (R.remaining() != 0)
-    return std::nullopt;
-  return T;
-}
-
 bool ccsim::writeTrace(const Trace &T, const std::string &Path) {
   BinaryWriter W(Path);
   if (!W.ok())
@@ -71,10 +32,9 @@ bool ccsim::writeTrace(const Trace &T, const std::string &Path) {
 }
 
 std::optional<Trace> ccsim::readTrace(const std::string &Path) {
-  BinaryReader R(Path);
-  if (!R.ok())
-    return std::nullopt;
-  return readTracePayload(R);
+  if (const auto M = trace::MappedTrace::open(Path))
+    return M->toTrace();
+  return std::nullopt;
 }
 
 std::vector<uint8_t> ccsim::serializeTrace(const Trace &T) {
@@ -84,6 +44,7 @@ std::vector<uint8_t> ccsim::serializeTrace(const Trace &T) {
 }
 
 std::optional<Trace> ccsim::deserializeTrace(std::vector<uint8_t> Bytes) {
-  BinaryReader R(std::move(Bytes));
-  return readTracePayload(R);
+  if (const auto M = trace::MappedTrace::fromBytes(std::move(Bytes)))
+    return M->toTrace();
+  return std::nullopt;
 }

@@ -160,7 +160,7 @@ TEST(CacheEngineAccountingTest, ManualFlushEntireCache) {
   EXPECT_EQ(M.stats().EvictionInvocations, 1u);
 }
 
-TEST(CacheManagerTest, PreemptivePolicyFlushesOnPhaseChange) {
+TEST(CacheEngineAccountingTest, PreemptivePolicyFlushesOnPhaseChange) {
   PreemptiveFlushPolicy::Options Opts;
   Opts.WindowAccesses = 32;
   Opts.SpikeMissRate = 0.5;
@@ -179,14 +179,14 @@ TEST(CacheManagerTest, PreemptivePolicyFlushesOnPhaseChange) {
   EXPECT_GE(M.stats().PreemptiveFlushes, 1u);
 }
 
-TEST(CacheManagerTest, CurrentQuantumClamped) {
+TEST(CacheEngineAccountingTest, CurrentQuantumClamped) {
   CacheEngine M = makeManager(100, GranularitySpec::units(256));
   EXPECT_EQ(M.currentQuantum(), 1u); // 100/256 -> clamp to 1.
   CacheEngine M2 = makeManager(100, GranularitySpec::flush());
   EXPECT_EQ(M2.currentQuantum(), 100u);
 }
 
-TEST(CacheManagerTest, StatsMerge) {
+TEST(CacheEngineAccountingTest, StatsMerge) {
   CacheStats A, B;
   A.Accesses = 10;
   A.Misses = 2;
@@ -204,7 +204,7 @@ TEST(CacheManagerTest, StatsMerge) {
   EXPECT_DOUBLE_EQ(A.missRate(), 0.125);
 }
 
-TEST(CacheManagerTest, InterUnitFractionStat) {
+TEST(CacheEngineAccountingTest, InterUnitFractionStat) {
   CacheStats S;
   EXPECT_DOUBLE_EQ(S.interUnitLinkFraction(), 0.0);
   S.LinksCreated = 4;

@@ -5,28 +5,24 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 using namespace ccsim;
 
 TEST(BinaryIOTest, MemoryRoundTripAllTypes) {
   BinaryWriter W;
-  W.writeU8(0xab);
-  W.writeU16(0xbeef);
   W.writeU32(0xdeadbeef);
   W.writeU64(0x0123456789abcdefULL);
-  W.writeF64(3.14159);
   W.writeString("hello world");
   ASSERT_TRUE(W.ok());
 
   BinaryReader R(W.buffer());
-  EXPECT_EQ(R.readU8(), 0xab);
-  EXPECT_EQ(R.readU16(), 0xbeef);
   EXPECT_EQ(R.readU32(), 0xdeadbeefu);
   EXPECT_EQ(R.readU64(), 0x0123456789abcdefULL);
-  EXPECT_DOUBLE_EQ(R.readF64(), 3.14159);
   EXPECT_EQ(R.readString(), "hello world");
   EXPECT_TRUE(R.ok());
-  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(R.remaining(), 0u);
 }
 
 TEST(BinaryIOTest, LittleEndianLayout) {
@@ -46,24 +42,28 @@ TEST(BinaryIOTest, FileRoundTrip) {
     W.writeString("file");
     EXPECT_TRUE(W.finish());
   }
-  BinaryReader R(Path);
-  ASSERT_TRUE(R.ok());
+  std::ifstream In(Path, std::ios::binary);
+  const std::vector<uint8_t> Bytes{std::istreambuf_iterator<char>(In),
+                                   std::istreambuf_iterator<char>()};
+  BinaryReader R(Bytes);
   EXPECT_EQ(R.readU64(), 42u);
   EXPECT_EQ(R.readString(), "file");
   std::remove(Path.c_str());
 }
 
 TEST(BinaryIOTest, MissingFileFails) {
-  BinaryReader R("/nonexistent/path/definitely_missing.bin");
-  EXPECT_FALSE(R.ok());
+  BinaryWriter W("/nonexistent/path/definitely_missing.bin");
+  EXPECT_FALSE(W.ok());
+  W.writeU32(1);
+  EXPECT_FALSE(W.finish());
 }
 
 TEST(BinaryIOTest, TruncatedReadSetsFailure) {
   BinaryWriter W;
-  W.writeU16(7);
+  W.writeU32(7);
   BinaryReader R(W.buffer());
-  EXPECT_EQ(R.readU16(), 7u);
-  (void)R.readU32(); // Past the end.
+  EXPECT_EQ(R.readU32(), 7u);
+  EXPECT_EQ(R.readU64(), 0u); // Past the end.
   EXPECT_FALSE(R.ok());
 }
 
@@ -88,11 +88,13 @@ TEST(BinaryIOTest, ReadBytes) {
   const uint8_t Data[] = {1, 2, 3, 4};
   W.writeBytes(Data, sizeof(Data));
   BinaryReader R(W.buffer());
-  uint8_t Out[4] = {0};
-  EXPECT_TRUE(R.readBytes(Out, 4));
+  const std::span<const uint8_t> Out = R.readBytes(4);
+  ASSERT_EQ(Out.size(), 4u);
+  EXPECT_EQ(Out.data(), W.buffer().data()); // A view, not a copy.
   EXPECT_EQ(Out[0], 1);
   EXPECT_EQ(Out[3], 4);
-  EXPECT_FALSE(R.readBytes(Out, 1));
+  EXPECT_TRUE(R.readBytes(1).empty());
+  EXPECT_FALSE(R.ok());
 }
 
 TEST(BinaryIOTest, RemainingTracksCursor) {

@@ -2,6 +2,7 @@
 
 #include "trace/MappedTrace.h"
 
+#include "support/BinaryIO.h"
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 
@@ -143,4 +144,23 @@ TEST(MappedTraceTest, TrailingGarbageIsRejected) {
   EXPECT_FALSE(trace::MappedTrace::open(Path));
   EXPECT_FALSE(trace::MappedTrace::open(Path, true));
   std::remove(Path.c_str());
+}
+
+TEST(MappedTraceTest, HostileBlockCountIsRejected) {
+  // A header whose block count the input cannot hold (every block takes
+  // at least 8 bytes) must be rejected by every reader before the count
+  // sizes a table: 2^32 - 1 blocks would ask for about 160 GB.
+  for (const uint32_t NumBlocks : {0xFFFFFFFFu, 20000000u, 1u}) {
+    BinaryWriter W;
+    W.writeU32(TraceMagic);
+    W.writeU32(TraceVersion);
+    W.writeString("");
+    W.writeU32(NumBlocks);
+    const std::string Path = writeTempBytes(W.buffer(), "/mapped_hostile.cct");
+    EXPECT_FALSE(deserializeTrace(W.buffer())) << NumBlocks;
+    EXPECT_FALSE(readTrace(Path)) << NumBlocks;
+    EXPECT_FALSE(trace::MappedTrace::open(Path)) << NumBlocks;
+    EXPECT_FALSE(trace::MappedTrace::open(Path, true)) << NumBlocks;
+    std::remove(Path.c_str());
+  }
 }

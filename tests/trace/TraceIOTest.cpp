@@ -3,11 +3,13 @@
 #include "trace/TraceIO.h"
 
 #include "support/Random.h"
+#include "trace/MappedTrace.h"
 #include "trace/TraceGenerator.h"
 #include "trace/WorkloadModel.h"
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
 
 using namespace ccsim;
 
@@ -114,6 +116,33 @@ const std::vector<uint8_t> &fuzzBaseline() {
   return Bytes;
 }
 
+/// The file front door must agree with the bytes one: \p Bytes written
+/// to a file must be rejected by MappedTrace::open (mapped and buffered)
+/// exactly when deserializeTrace rejected them as \p FromBytes, and
+/// must otherwise decode to the same trace.
+void expectFileMatchesBytes(const std::vector<uint8_t> &Bytes,
+                            const std::optional<Trace> &FromBytes) {
+  const std::string Path =
+      ::testing::TempDir() + "/ccsim_fuzz_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".cct";
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out.write(reinterpret_cast<const char *>(Bytes.data()),
+              static_cast<std::streamsize>(Bytes.size()));
+    ASSERT_TRUE(Out.good());
+  }
+  for (const bool ForceFallback : {false, true}) {
+    const auto Mapped = trace::MappedTrace::open(Path, ForceFallback);
+    ASSERT_EQ(Mapped.has_value(), FromBytes.has_value())
+        << "ForceFallback " << ForceFallback;
+    if (Mapped) {
+      EXPECT_TRUE(tracesEqual(Mapped->toTrace(), *FromBytes));
+    }
+  }
+  std::remove(Path.c_str());
+}
+
 } // namespace
 
 TEST(TraceIOFuzzTest, RandomByteFlipsNeverCrash) {
@@ -132,6 +161,7 @@ TEST(TraceIOFuzzTest, RandomByteFlipsNeverCrash) {
     if (Restored.has_value()) {
       EXPECT_TRUE(Restored->validate()) << "round " << Round;
     }
+    expectFileMatchesBytes(Mutated, Restored);
   }
 }
 
@@ -142,7 +172,9 @@ TEST(TraceIOFuzzTest, RandomTruncationNeverCrashes) {
     const size_t Cut = R.nextBelow(Base.size());
     std::vector<uint8_t> Short(Base.begin(),
                                Base.begin() + static_cast<long>(Cut));
-    EXPECT_FALSE(deserializeTrace(Short).has_value()) << "cut " << Cut;
+    const auto Restored = deserializeTrace(Short);
+    EXPECT_FALSE(Restored.has_value()) << "cut " << Cut;
+    expectFileMatchesBytes(Short, Restored);
   }
 }
 
@@ -158,6 +190,7 @@ TEST(TraceIOFuzzTest, RandomGarbageRejected) {
     if (Restored.has_value()) {
       EXPECT_TRUE(Restored->validate()) << "round " << Round;
     }
+    expectFileMatchesBytes(Garbage, Restored);
   }
 }
 
@@ -165,5 +198,7 @@ TEST(TraceIOFuzzTest, AppendedTrailingBytesRejected) {
   std::vector<uint8_t> Padded = fuzzBaseline();
   Padded.push_back(0);
   // A trace file with trailing junk is corrupt, not "close enough".
-  EXPECT_FALSE(deserializeTrace(Padded).has_value());
+  const auto Restored = deserializeTrace(Padded);
+  EXPECT_FALSE(Restored.has_value());
+  expectFileMatchesBytes(Padded, Restored);
 }
